@@ -6,32 +6,21 @@
 //! construction, run caching, geometric means, and fixed-width table
 //! printing.
 
-use charon_gc::system::System;
+use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::{run_workload, RunOptions, RunResult, WorkloadSpec};
 
 /// The four platforms of Fig. 12, in presentation order.
 pub const PLATFORMS: [&str; 4] = ["DDR4", "HMC", "Charon", "Ideal"];
 
-/// Builds a platform by its label.
+/// Runs one workload on one platform with default options (or the given
+/// overrides), panicking on OOM — benches are sized never to OOM.
 ///
 /// # Panics
 ///
-/// Panics on an unknown label.
-pub fn system_by_label(label: &str) -> System {
-    match label {
-        "DDR4" => System::ddr4(),
-        "HMC" => System::hmc(),
-        "Charon" => System::charon(),
-        "Charon-CPU-side" => System::cpu_side(),
-        "Ideal" => System::ideal(),
-        other => panic!("unknown platform {other}"),
-    }
-}
-
-/// Runs one workload on one platform with default options (or the given
-/// overrides), panicking on OOM — benches are sized never to OOM.
+/// Panics on an unknown platform label or an out-of-memory run.
 pub fn run(spec: &WorkloadSpec, label: &str, opts: &RunOptions) -> RunResult {
-    run_workload(spec, system_by_label(label), opts).unwrap_or_else(|e| panic!("{} on {label}: {e}", spec.short))
+    let sys = system_by_label(label).unwrap_or_else(|| panic!("unknown platform {label}"));
+    run_workload(spec, sys, opts).unwrap_or_else(|e| panic!("{} on {label}: {e}", spec.short))
 }
 
 /// Geometric mean of a non-empty slice.
@@ -84,15 +73,14 @@ mod tests {
     #[test]
     fn platform_labels_resolve() {
         for p in PLATFORMS {
-            assert_eq!(system_by_label(p).label(), p);
+            assert_eq!(system_by_label(p).map(|s| s.label()), Some(p));
         }
-        assert_eq!(system_by_label("Charon-CPU-side").label(), "Charon-CPU-side");
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "unknown platform PIM-9000")]
     fn unknown_platform_panics() {
-        system_by_label("PIM-9000");
+        run(&charon_workloads::spec::by_short("BS").unwrap(), "PIM-9000", &RunOptions::default());
     }
 
     #[test]

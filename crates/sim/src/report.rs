@@ -199,24 +199,6 @@ pub fn extract_metrics(report: &Json) -> Vec<(String, u64)> {
     out
 }
 
-/// One metric that got slower beyond the tolerance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Flattened metric name (`workload/platform/metric`).
-    pub metric: String,
-    /// Baseline value.
-    pub old: u64,
-    /// Candidate value.
-    pub new: u64,
-}
-
-impl Regression {
-    /// `new / old` (old clamped to ≥ 1 so a zero baseline stays finite).
-    pub fn ratio(&self) -> f64 {
-        self.new as f64 / self.old.max(1) as f64
-    }
-}
-
 /// Whether a metric improves by growing. Timing metrics (the default)
 /// regress upward; `selfspeed` metrics — simulated ps per wall-second —
 /// and the chaos campaign's detection/repair rates regress downward.
@@ -230,8 +212,8 @@ pub fn higher_is_better(metric: &str) -> bool {
 /// `old_v` beyond `tolerance_pct`? Lower-is-better metrics regress on
 /// `new > old × (1 + tol/100)` (a zero baseline regresses on any nonzero
 /// new value); higher-is-better metrics on `new < old × (1 - tol/100)`.
-/// This is the one predicate `regress`, `trend report`, and `trend
-/// bisect` all share.
+/// This is the one predicate the history ledger — and through it
+/// `regress`, `trend report`, and `trend bisect` — applies.
 pub fn value_regressed(metric: &str, old_v: u64, new_v: u64, tolerance_pct: f64) -> bool {
     if higher_is_better(metric) {
         (new_v as f64) < old_v as f64 * (1.0 - tolerance_pct / 100.0)
@@ -239,23 +221,6 @@ pub fn value_regressed(metric: &str, old_v: u64, new_v: u64, tolerance_pct: f64)
         let limit = old_v as f64 * (1.0 + tolerance_pct / 100.0);
         new_v as f64 > limit || (old_v == 0 && new_v > 0)
     }
-}
-
-/// Compares every metric present in BOTH reports with
-/// [`value_regressed`]. Returns (metrics compared, regressions).
-pub fn regressions(old: &Json, new: &Json, tolerance_pct: f64) -> (usize, Vec<Regression>) {
-    let old_metrics = extract_metrics(old);
-    let new_metrics = extract_metrics(new);
-    let mut compared = 0;
-    let mut regs = Vec::new();
-    for (metric, old_v) in old_metrics {
-        let Some((_, new_v)) = new_metrics.iter().find(|(m, _)| *m == metric) else { continue };
-        compared += 1;
-        if value_regressed(&metric, old_v, *new_v, tolerance_pct) {
-            regs.push(Regression { metric, old: old_v, new: *new_v });
-        }
-    }
-    (compared, regs)
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! Multi-run trend history: an append-only ledger of flattened metrics
 //! plus trend rendering and first-regressing-run bisection.
 //!
-//! The `regress` gate compares exactly two reports; a performance story
-//! is usually longer than that. [`Ledger`] is the `charon-history-v1`
-//! append-only record: each `trend record` flattens one report (any
-//! shape [`extract_metrics`] understands — bench, compare, single
-//! run/profile, selfspeed, fleet, chaos) into named integer metrics and
-//! appends them as one labelled run. On top of the ledger:
+//! A performance story is usually longer than two reports. [`Ledger`] is
+//! the `charon-history-v1` append-only record: each `trend record`
+//! flattens one report (any shape [`extract_metrics`] understands —
+//! bench, compare, single run/profile, selfspeed, fleet, chaos) into
+//! named integer metrics and appends them as one labelled run. On top of
+//! the ledger:
 //!
 //! * `trend report` — per-metric N-run series with an ASCII sparkline
 //!   and a direction-aware first→last delta (the same
@@ -17,8 +17,10 @@
 //!   below the tolerance does not flip the predicate, so the search
 //!   stays valid on realistically noisy series).
 //!
-//! The shared predicate is [`value_regressed`]; `regress`, `trend
-//! report`, and `trend bisect` cannot disagree about direction.
+//! `charon-cli regress OLD NEW` is the two-run case: it records both
+//! reports into a fresh ledger and calls [`Ledger::bisect_all`]. The
+//! shared predicate is [`value_regressed`]; `regress`, `trend report`,
+//! and `trend bisect` cannot disagree about direction.
 
 use charon_sim::json::Json;
 use charon_sim::report::{extract_metrics, higher_is_better, value_regressed};

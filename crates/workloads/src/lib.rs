@@ -29,11 +29,11 @@
 //! * [`parmatrix`] — deterministic parallel run matrix: workload ×
 //!   platform cells fanned across OS threads with bit-identical merged
 //!   output, plus the self-speed (sim-ps per wall-second) report,
-//! * [`campaign`] — seeded fault-injection campaigns proving the offload
-//!   path degrades gracefully without changing GC correctness,
-//! * [`chaos`] — silent-corruption campaigns over the integrity
-//!   subsystem: sites × rates × workloads, detection/repair/escape
-//!   accounting ([`chaos::ChaosReport`]),
+//! * [`chaos`] — seeded robustness campaigns over the offload path:
+//!   workloads × sites × rates, where a site is a pipeline fault site
+//!   (timing faults the offload path must absorb without changing GC
+//!   correctness) or a corruption site (silent bit flips the integrity
+//!   subsystem must detect and repair) ([`chaos::ChaosReport`]),
 //! * [`autotune`] — static-vs-adaptive offload comparison driver for the
 //!   [`charon_gc::adapt`] controller ([`autotune::AutotuneReport`]),
 //! * [`history`] — append-only `charon-history-v1` multi-run metric
@@ -41,7 +41,6 @@
 //!   ([`history::Ledger`]).
 
 pub mod autotune;
-pub mod campaign;
 pub mod chaos;
 pub mod fleet;
 pub mod history;
@@ -53,8 +52,7 @@ pub mod run;
 pub mod spec;
 
 pub use autotune::{autotune, autotune_jobs, AutotuneReport};
-pub use campaign::{fault_matrix, run_fault_campaign, run_fault_campaign_jobs, CampaignOptions, CampaignReport};
-pub use chaos::{chaos_matrix, run_chaos_campaign, ChaosOptions, ChaosReport};
+pub use chaos::{chaos_matrix, run_cell, run_chaos_campaign, ChaosOptions, ChaosReport, Site};
 pub use fleet::{plan_tenants, run_fleet, FleetOptions, FleetReport, SchedKind};
 pub use history::{HistoryRun, Ledger};
 pub use parmatrix::{full_matrix, run_matrix, selfspeed_json, MatrixJob, MatrixOptions, MatrixOutcome};

@@ -14,7 +14,6 @@ use charon_gc::breakdown::Breakdown;
 use charon_gc::collector::{Collector, CollectorKind, GcKind, OutOfMemory};
 use charon_gc::system::System;
 use charon_heap::heap::{HeapConfig, JavaHeap};
-use charon_heap::layout::LayoutParams;
 use charon_sim::energy::EnergyAccount;
 use charon_sim::json::Json;
 use charon_sim::profile::Profiler;
@@ -229,22 +228,7 @@ impl fmt::Display for RunResult {
 /// Returns [`OutOfMemory`] when the chosen heap factor cannot hold the
 /// workload (by construction this never happens at factor ≥ 1.0).
 pub fn run_workload(spec: &WorkloadSpec, sys: System, opts: &RunOptions) -> Result<RunResult, OutOfMemory> {
-    run_workload_heap(spec, sys, opts).map(|(r, _)| r)
-}
-
-/// Like [`run_workload`], but also hands back the final [`JavaHeap`] so
-/// the caller can inspect the end-of-run heap — the chaos campaign's
-/// escaped-corruption check re-walks the object graph this way.
-///
-/// # Errors
-///
-/// Returns [`OutOfMemory`] exactly as [`run_workload`] does.
-pub fn run_workload_heap(
-    spec: &WorkloadSpec,
-    sys: System,
-    opts: &RunOptions,
-) -> Result<(RunResult, JavaHeap), OutOfMemory> {
-    run_workload_full(spec, sys, opts).map(|(r, heap, _)| (r, heap))
+    run_workload_full(spec, sys, opts, |_| Ok::<(), OutOfMemory>(())).map(|(r, _)| r)
 }
 
 /// Like [`run_workload`], but also hands back the collector's per-GC
@@ -260,18 +244,22 @@ pub fn run_workload_events(
     sys: System,
     opts: &RunOptions,
 ) -> Result<(RunResult, Vec<charon_gc::collector::GcEvent>), OutOfMemory> {
-    run_workload_full(spec, sys, opts).map(|(r, _, events)| (r, events))
+    run_workload_full(spec, sys, opts, |_| Ok::<(), OutOfMemory>(())).map(|(r, gc)| (r, gc.events))
 }
 
-/// The shared driver behind every `run_workload*` entry point.
-fn run_workload_full(
+/// The shared body of every `run_workload*` entry point and of the
+/// chaos campaign's cell runner: builds the heap, mutator, and collector
+/// from `opts`, runs the resident build and every superstep, and calls
+/// `checkpoint` on the heap after the resident build and after each
+/// superstep. Hands back the result and the collector.
+pub(crate) fn run_workload_full<E: From<OutOfMemory>>(
     spec: &WorkloadSpec,
     mut sys: System,
     opts: &RunOptions,
-) -> Result<(RunResult, JavaHeap, Vec<charon_gc::collector::GcEvent>), OutOfMemory> {
+    mut checkpoint: impl FnMut(&JavaHeap) -> Result<(), E>,
+) -> Result<(RunResult, Collector), E> {
     let heap_bytes = spec.heap_bytes(opts.heap_factor.unwrap_or(spec.default_heap_factor));
-    let mut heap =
-        JavaHeap::new(HeapConfig { layout: LayoutParams { heap_bytes, ..Default::default() }, ..Default::default() });
+    let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(heap_bytes));
     let mut mutator = Mutator::new(spec.clone(), &mut heap);
     sys.set_telemetry(opts.telemetry.clone());
     sys.set_profiler(opts.profiler.clone());
@@ -297,9 +285,11 @@ fn run_workload_full(
     }
 
     mutator.build_resident(&mut heap, &mut gc)?;
+    checkpoint(&heap)?;
     let steps = opts.supersteps.unwrap_or(spec.supersteps);
     for _ in 0..steps {
         mutator.superstep(&mut heap, &mut gc)?;
+        checkpoint(&heap)?;
     }
 
     // Drain per-link epoch occupancy into the journal (one counter sample
@@ -317,7 +307,6 @@ fn run_workload_full(
     let major_t = gc.gc_time_by_kind(GcKind::Major);
     let profile = (opts.profiler.is_enabled() || opts.census || opts.postmortem.is_some())
         .then(|| RunProfile::collect(spec.short, platform, &gc, opts.profiler.snapshot()));
-    let events = gc.events.clone();
     Ok((
         RunResult {
             workload: spec.short,
@@ -338,8 +327,7 @@ fn run_workload_full(
             profile,
             decisions: gc.adapt.as_ref().map(|c| c.journal.clone()),
         },
-        heap,
-        events,
+        gc,
     ))
 }
 

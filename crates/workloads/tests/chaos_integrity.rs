@@ -8,24 +8,15 @@
 //!    detects ≥ 95% of the injected live-region corruptions and the
 //!    repair ladder recovers every detected one.
 //! 3. **Oracle** — with the shadow oracle armed, *nothing* escapes.
+//! 4. **Control** — a campaign's unarmed control run is a plain run and
+//!    reproduces the committed fingerprint.
 
 use charon_gc::integrity::IntegrityConfig;
 use charon_gc::system::System;
 use charon_sim::faults::CorruptionRates;
-use charon_workloads::chaos::ChaosOptions;
+use charon_workloads::parmatrix::{system_by_label, MatrixOptions};
 use charon_workloads::spec::by_short;
-use charon_workloads::{run_chaos_campaign, run_workload, RunOptions};
-
-fn system_by_label(label: &str) -> System {
-    match label {
-        "DDR4" => System::ddr4(),
-        "HMC" => System::hmc(),
-        "Charon" => System::charon(),
-        "Charon-CPU-side" => System::cpu_side(),
-        "Ideal" => System::ideal(),
-        other => panic!("unknown platform {other}"),
-    }
-}
+use charon_workloads::{run_chaos_campaign, run_workload, ChaosOptions, RunOptions, Site};
 
 /// The same table `fingerprint_baseline.rs` pins: `(workload, platform,
 /// gc_time ps, minor count, major count, allocated bytes)` at
@@ -56,7 +47,7 @@ fn integrity_armed_zero_rate_fingerprints_match_committed_baselines() {
     let mut mismatches = Vec::new();
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let mut sys = system_by_label(platform);
+        let mut sys = system_by_label(platform).unwrap();
         sys.enable_integrity(0xC0DE, CorruptionRates::zero(), IntegrityConfig::default());
         let opts = RunOptions { supersteps: Some(2), ..Default::default() };
         let r = run_workload(&spec, sys, &opts).unwrap();
@@ -91,8 +82,14 @@ fn shadow_oracle_zero_rate_is_also_timing_invisible() {
     }
 }
 
+/// The four corruption sites at 5%, two supersteps.
 fn campaign_opts() -> ChaosOptions {
-    ChaosOptions { supersteps: Some(2), rates: vec![0.05], ..Default::default() }
+    ChaosOptions {
+        rates: Some(vec![0.05]),
+        sites: Site::ALL.into_iter().filter(|s| matches!(s, Site::Corruption(_))).collect(),
+        run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+        ..Default::default()
+    }
 }
 
 /// Acceptance: without the oracle, the checksum/canary layer detects
@@ -101,13 +98,13 @@ fn campaign_opts() -> ChaosOptions {
 #[test]
 fn checksum_detection_and_repair_meet_the_bar() {
     let specs = [by_short("BS").unwrap(), by_short("KM").unwrap()];
-    let report = run_chaos_campaign(&specs, &campaign_opts(), 4);
+    let report = run_chaos_campaign(&specs, &campaign_opts(), 4).unwrap();
     assert!(report.pass(), "chaos campaign failed:\n{report}");
     assert!(report.injected() > 0, "5% over two workloads must inject:\n{report}");
     assert!(report.detection_rate() >= 0.95, "detection below 95%:\n{report}");
     assert_eq!(report.repaired(), report.detected(), "every detected corruption must be repaired:\n{report}");
     for c in &report.cells {
-        assert!(c.graph_ok, "{}/{} rate {}: final graph corrupt", c.workload, c.site, c.rate);
+        assert!(c.graph_ok, "{}/{} rate {}: graph walk failed", c.workload, c.site, c.rate);
     }
 }
 
@@ -117,8 +114,22 @@ fn checksum_detection_and_repair_meet_the_bar() {
 fn oracle_campaign_has_zero_escapes() {
     let specs = [by_short("BS").unwrap(), by_short("KM").unwrap()];
     let opts = ChaosOptions { oracle: true, ..campaign_opts() };
-    let report = run_chaos_campaign(&specs, &opts, 4);
+    let report = run_chaos_campaign(&specs, &opts, 4).unwrap();
     assert!(report.pass(), "oracle campaign failed:\n{report}");
     assert!(report.injected() > 0);
     assert_eq!(report.escaped(), 0, "the oracle contract is zero escapes:\n{report}");
+}
+
+/// A campaign's control is an unarmed plain run: BS at two supersteps
+/// reproduces the committed BS/Charon fingerprint, so every cell's pause
+/// overhead is measured against the number the baselines pin.
+#[test]
+fn campaign_control_matches_the_committed_charon_fingerprint() {
+    let specs = [by_short("BS").unwrap()];
+    let opts = ChaosOptions { sites: Vec::new(), ..campaign_opts() };
+    let report = run_chaos_campaign(&specs, &opts, 1).unwrap();
+    assert!(report.cells.is_empty(), "no sites, no cells");
+    let base = BASELINES.iter().find(|b| b.0 == "BS" && b.1 == "Charon").unwrap();
+    assert_eq!(base.2, 205784564);
+    assert_eq!(report.controls[0].result.fingerprint(), *base);
 }

@@ -13,19 +13,12 @@
 use charon_gc::breakdown::Bucket;
 use charon_gc::collector::CollectorKind;
 use charon_gc::system::System;
+use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::spec::by_short;
 use charon_workloads::{run_workload, RunOptions};
 
 fn opts(collector: CollectorKind) -> RunOptions {
     RunOptions { collector, ..Default::default() }
-}
-
-fn system_by_label(label: &str) -> System {
-    match label {
-        "DDR4" => System::ddr4(),
-        "HMC" => System::hmc(),
-        other => panic!("unknown platform {other}"),
-    }
 }
 
 /// `(collector, workload, platform, gc_time ps, minor count, major
@@ -48,7 +41,7 @@ fn collector_fingerprints_match_committed_baselines() {
     let mut mismatches = Vec::new();
     for &(collector, wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let r = run_workload(&spec, system_by_label(platform), &opts(collector)).unwrap();
+        let r = run_workload(&spec, system_by_label(platform).unwrap(), &opts(collector)).unwrap();
         let got = r.fingerprint();
         let want = (wl, platform, gc_ps, minors, majors, alloc);
         if got != want {

@@ -7,23 +7,12 @@
 //! phase structure that shifts a single picosecond fails here. When a
 //! deliberate timing change lands, re-capture with the loop at the bottom.
 
-use charon_gc::system::System;
+use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::spec::by_short;
 use charon_workloads::{run_workload, RunOptions};
 
 fn opts() -> RunOptions {
     RunOptions { supersteps: Some(2), ..Default::default() }
-}
-
-fn system_by_label(label: &str) -> System {
-    match label {
-        "DDR4" => System::ddr4(),
-        "HMC" => System::hmc(),
-        "Charon" => System::charon(),
-        "Charon-CPU-side" => System::cpu_side(),
-        "Ideal" => System::ideal(),
-        other => panic!("unknown platform {other}"),
-    }
 }
 
 /// `(workload, platform, gc_time ps, minor count, major count, allocated
@@ -51,7 +40,7 @@ fn telemetry_off_fingerprints_match_committed_baselines() {
     let mut mismatches = Vec::new();
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let r = run_workload(&spec, system_by_label(platform), &opts()).unwrap();
+        let r = run_workload(&spec, system_by_label(platform).unwrap(), &opts()).unwrap();
         let got = r.fingerprint();
         let want = (wl, platform, gc_ps, minors, majors, alloc);
         if got != want {
@@ -75,7 +64,7 @@ fn profiler_and_census_on_fingerprints_match_committed_baselines() {
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
         let o = RunOptions { profiler: Profiler::enabled(), census: true, ..opts() };
-        let r = run_workload(&spec, system_by_label(platform), &o).unwrap();
+        let r = run_workload(&spec, system_by_label(platform).unwrap(), &o).unwrap();
         assert_eq!(
             r.fingerprint(),
             (wl, platform, gc_ps, minors, majors, alloc),
@@ -100,7 +89,7 @@ fn postmortem_on_fingerprints_match_committed_baselines() {
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
         let o = RunOptions { profiler: Profiler::enabled(), census: true, postmortem: Some(4), ..opts() };
-        let r = run_workload(&spec, system_by_label(platform), &o).unwrap();
+        let r = run_workload(&spec, system_by_label(platform).unwrap(), &o).unwrap();
         assert_eq!(
             r.fingerprint(),
             (wl, platform, gc_ps, minors, majors, alloc),
@@ -134,7 +123,7 @@ fn fingerprints_pin_heap_factor_and_steps() {
     for (wl, platform, gc_ps, minors) in cases {
         let spec = by_short(wl).unwrap();
         let o = RunOptions { heap_factor: Some(1.0), supersteps: Some(2), ..Default::default() };
-        let r = run_workload(&spec, system_by_label(platform), &o).unwrap();
+        let r = run_workload(&spec, system_by_label(platform).unwrap(), &o).unwrap();
         assert_eq!((r.gc_time.0, r.minor.1, r.major.1), (gc_ps, minors, 0), "{wl} on {platform} at heap factor 1.0");
     }
 }

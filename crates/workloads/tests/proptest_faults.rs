@@ -4,27 +4,30 @@
 //! collection sequence — matches the fault-free run, and simulated time
 //! stays strictly monotone.
 
-use charon_sim::faults::FaultRates;
-use charon_workloads::campaign::{run_case, CampaignOptions, CaseReport};
+use charon_gc::system::System;
+use charon_sim::faults::{FaultRates, RecoveryConfig};
+use charon_workloads::chaos::{run_cell, CellRun};
 use charon_workloads::spec::by_short;
+use charon_workloads::RunOptions;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const SHORTS: [&str; 2] = ["BS", "KM"];
 
-fn opts() -> CampaignOptions {
-    CampaignOptions { supersteps: Some(2), ..Default::default() }
+/// One two-superstep cell on Charon, fault-free when `fault` is `None`.
+fn run(short: &str, fault: Option<(u64, FaultRates)>) -> CellRun {
+    let mut sys = System::charon();
+    if let Some((seed, rates)) = fault {
+        sys.inject_faults(seed, rates, RecoveryConfig::default());
+    }
+    run_cell(&by_short(short).unwrap(), sys, &RunOptions { supersteps: Some(2), ..Default::default() })
+        .expect("run completes")
 }
 
 /// Fault-free reference runs, computed once per workload.
-fn baseline(short: &str) -> &'static CaseReport {
-    static BASELINES: OnceLock<Vec<CaseReport>> = OnceLock::new();
-    let all = BASELINES.get_or_init(|| {
-        SHORTS
-            .iter()
-            .map(|s| run_case(&by_short(s).unwrap(), None, &opts()).expect("fault-free run completes"))
-            .collect()
-    });
+fn baseline(short: &str) -> &'static CellRun {
+    static BASELINES: OnceLock<Vec<CellRun>> = OnceLock::new();
+    let all = BASELINES.get_or_init(|| SHORTS.iter().map(|s| run(s, None)).collect());
     let i = SHORTS.iter().position(|&s| s == short).expect("known workload");
     &all[i]
 }
@@ -48,32 +51,30 @@ proptest! {
             mai: f64::from(mai) / 1000.0,
             unit: f64::from(unit) / 1000.0,
         };
-        let faulty = run_case(&by_short(short).unwrap(), Some((seed, rates)), &opts())
-            .expect("faulty run must still complete");
+        let faulty = run(short, Some((seed, rates)));
         let base = baseline(short);
         prop_assert_eq!(&faulty.signatures, &base.signatures,
             "graph signatures diverged under schedule seed={} rates={}", seed, rates);
         prop_assert_eq!(&faulty.event_kinds, &base.event_kinds,
             "collection sequence diverged under seed={}", seed);
-        prop_assert!(faulty.monotone, "{}",
-            faulty.monotone_detail.unwrap_or_default());
-        prop_assert!(faulty.gc_time >= base.gc_time,
-            "faults made GC faster: {} vs {}", faulty.gc_time, base.gc_time);
+        prop_assert!(faulty.non_monotone.is_none(), "{}",
+            faulty.non_monotone.unwrap_or_default());
+        prop_assert!(faulty.result.gc_time >= base.result.gc_time,
+            "faults made GC faster: {} vs {}", faulty.result.gc_time, base.result.gc_time);
         if rates.is_zero() {
-            prop_assert_eq!(faulty.injected, 0);
-            prop_assert_eq!(faulty.gc_time, base.gc_time,
+            prop_assert_eq!(faulty.faults, 0);
+            prop_assert_eq!(faulty.result.gc_time, base.result.gc_time,
                 "a zero-rate schedule must be timing-identical to fault-free");
         }
     }
 
     #[test]
     fn replayed_schedules_are_bit_identical(seed in any::<u64>(), p_milli in 10u32..300) {
-        let spec = by_short("BS").unwrap();
         let rates = FaultRates::uniform(f64::from(p_milli) / 1000.0);
-        let a = run_case(&spec, Some((seed, rates)), &opts()).expect("run completes");
-        let b = run_case(&spec, Some((seed, rates)), &opts()).expect("run completes");
-        prop_assert_eq!(a.injected, b.injected);
-        prop_assert_eq!(a.gc_time, b.gc_time, "same seed must replay the same timing");
+        let a = run("BS", Some((seed, rates)));
+        let b = run("BS", Some((seed, rates)));
+        prop_assert_eq!(a.faults, b.faults);
+        prop_assert_eq!(a.result.gc_time, b.result.gc_time, "same seed must replay the same timing");
         prop_assert_eq!(a.recovery, b.recovery);
     }
 }

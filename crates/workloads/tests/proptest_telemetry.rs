@@ -10,12 +10,11 @@
 //!    JSON checker, and every trace event carries the required keys.
 
 use charon_gc::system::System;
-use charon_sim::faults::FaultRates;
+use charon_sim::faults::{FaultRates, FaultSite, RecoveryConfig};
 use charon_sim::json::Json;
 use charon_sim::telemetry::{chrome_trace, Event, Telemetry};
-use charon_workloads::campaign::{run_case, CampaignOptions};
 use charon_workloads::spec::{by_short, table3};
-use charon_workloads::{run_workload, RunOptions};
+use charon_workloads::{run_cell, run_workload, RunOptions};
 use proptest::prelude::*;
 
 type MakeSystem = fn() -> System;
@@ -64,17 +63,20 @@ proptest! {
         rate in 50u32..400,
     ) {
         let spec = by_short("BS").unwrap();
-        let rates = FaultRates::only(charon_sim::faults::FaultSite::Unit, f64::from(rate) / 1000.0);
-        let off_opts = CampaignOptions { supersteps: Some(2), ..Default::default() };
-        let off = run_case(&spec, Some((seed, rates)), &off_opts).unwrap();
+        let faulty = || {
+            let mut sys = System::charon();
+            sys.inject_faults(seed, FaultRates::only(FaultSite::Unit, f64::from(rate) / 1000.0), RecoveryConfig::default());
+            sys
+        };
+        let off = run_cell(&spec, faulty(), &RunOptions { supersteps: Some(2), ..Default::default() }).unwrap();
         let telemetry = Telemetry::enabled();
-        let on_opts = CampaignOptions { supersteps: Some(2), telemetry: telemetry.clone(), ..Default::default() };
-        let on = run_case(&spec, Some((seed, rates)), &on_opts).unwrap();
-        prop_assert_eq!(off.gc_time, on.gc_time, "telemetry changed timing under seed {}", seed);
+        let on_opts = RunOptions { supersteps: Some(2), telemetry: telemetry.clone(), ..Default::default() };
+        let on = run_cell(&spec, faulty(), &on_opts).unwrap();
+        prop_assert_eq!(off.result.fingerprint(), on.result.fingerprint(), "telemetry changed timing under seed {}", seed);
         prop_assert_eq!(&off.signatures, &on.signatures);
         prop_assert_eq!(&off.event_kinds, &on.event_kinds);
         prop_assert_eq!(off.recovery, on.recovery);
-        prop_assert_eq!(off.injected, on.injected);
+        prop_assert_eq!(off.faults, on.faults);
         if off.recovery.total_retries() > 0 {
             let events = telemetry.events();
             prop_assert!(events.iter().any(|e| matches!(e, Event::Fault { .. })),

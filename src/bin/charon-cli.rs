@@ -10,8 +10,8 @@
 //! charon-cli check-json report.json       # validate a JSON artifact
 //! charon-cli config                       # Table 2
 //! charon-cli area                         # Table 4
-//! charon-cli fault-campaign BS --seed 42  # seeded offload fault matrix
-//! charon-cli chaos BS KM --rates 0.02,0.1 # silent-corruption campaign
+//! charon-cli chaos BS KM --seed 42        # seeded fault + corruption campaign (all nine sites)
+//! charon-cli chaos BS --sites link,unit,bitmap --rates 0.05   # chosen sites at one rate
 //! charon-cli fleet --tenants 4 --mix BS:2,PR:2 --sched fair   # multi-tenant interference
 //! charon-cli profile KM --platform Charon # pause/latency histograms + census
 //! charon-cli explain KM --top 5            # worst pauses: breakdown, units, energy
@@ -21,23 +21,25 @@
 //! charon-cli trend bisect HISTORY.json     # first regressing run per metric
 //! charon-cli autotune PS --policy census  # adaptive vs static offload mask
 //! ```
+//!
+//! Every subcommand that takes `--json` prints exactly one JSON document
+//! on stdout; status notes such as `wrote FILE` go to stderr then.
 
 use charon::gc::adapt::PolicyKind;
 use charon::gc::breakdown::Bucket;
 use charon::gc::collector::CollectorKind;
 use charon::gc::system::OffloadMask;
-use charon::sim::faults::CorruptionSite;
 use charon::sim::json::Json;
 use charon::sim::profile::Profiler;
-use charon::sim::report::{extract_metrics, regressions};
 use charon::sim::telemetry::{chrome_trace, Telemetry};
+use charon::workloads::history::BisectHit;
 use charon::workloads::parmatrix::{system_by_label, PLATFORM_LABELS as PLATFORMS};
-use charon::workloads::spec::{by_short, table3};
+use charon::workloads::spec::{by_short, table3, WorkloadSpec};
 use charon::workloads::{
-    autotune_jobs, full_matrix, plan_tenants, run_chaos_campaign, run_fault_campaign_jobs, run_fleet, run_matrix,
-    run_workload, selfspeed_json, CampaignOptions, ChaosOptions, FleetOptions, Ledger, MatrixOptions, RunOptions,
-    RunResult, SchedKind,
+    autotune_jobs, full_matrix, plan_tenants, run_chaos_campaign, run_fleet, run_matrix, run_workload, selfspeed_json,
+    ChaosOptions, FleetOptions, Ledger, MatrixOptions, RunOptions, RunResult, SchedKind, Site,
 };
+use std::fmt::{Display, Write as _};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -50,11 +52,11 @@ fn usage() -> ExitCode {
          [--out <FILE>] [--jobs <N>]\n    \
          (also writes BENCH_selfspeed.json — simulated ps per wall-second, per cell)\n  \
          charon-cli check-json <FILE>\n  \
-         charon-cli fault-campaign <BS|KM|LR|CC|PR|ALS> [--seed <S>] [--heap-factor <F>] [--threads <N>] \
-         [--steps <N>] [--json] [--jobs <N>]\n  \
-         charon-cli chaos [<W>...] [--rates <R,R,...>] [--sites <bitmap,forward,card,payload>] [--oracle] \
-         [--rearm <N>] [--seed <S>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] \
-         [--jobs <N>]\n  \
+         charon-cli chaos [<W>...] [--sites <S,S,...>] [--rates <R,R,...>] [--oracle] [--rearm <N>] [--seed <S>] \
+         [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]\n    \
+         (sites: link,queue,tlb,mai,unit = pipeline faults, bitmap,forward,card,payload = silent corruption; \
+         default all nine. Default rates: 0.2 per pipeline site plus 0.95 on unit, 0.02 and 0.1 per corruption \
+         site; --rates replaces them at every selected site)\n  \
          charon-cli profile <BS|KM|LR|CC|PR|ALS> [--platform <P>] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] \
          [--threads <N>] [--steps <N>] [--top <K>] [--json] [--profile-out <FILE>]\n  \
          charon-cli explain <BS|KM|LR|CC|PR|ALS> [--platform <P>] [--top <K>] [--heap-factor <F>] [--threads <N>] \
@@ -124,7 +126,7 @@ struct Flags {
     policy: Option<PolicyKind>,
     rearm: Option<u32>,
     rates: Option<Vec<f64>>,
-    sites: Option<Vec<CorruptionSite>>,
+    sites: Option<Vec<Site>>,
     oracle: bool,
     tenants: Option<usize>,
     mix: Option<String>,
@@ -212,28 +214,22 @@ fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<Flags, String> {
             "--rates" => {
                 let mut rates = Vec::new();
                 for part in val.split(',') {
-                    let r: f64 = part.parse().map_err(|_| format!("bad corruption rate {part}"))?;
+                    let r: f64 = part.parse().map_err(|_| format!("bad rate {part}"))?;
                     if !(0.0..=1.0).contains(&r) {
-                        return Err(format!("--rates entry {r} out of range (0..=1, per invocation)"));
+                        return Err(format!("--rates entry {r} out of range (0..=1, per attempt or write)"));
                     }
                     rates.push(r);
-                }
-                if rates.is_empty() {
-                    return Err("--rates needs at least one rate".into());
                 }
                 flags.rates = Some(rates);
             }
             "--sites" => {
                 let mut sites = Vec::new();
                 for part in val.split(',') {
-                    let Some(site) = CorruptionSite::by_name(part) else {
-                        return Err(format!(
-                            "unknown corruption site {part} (one of: {})",
-                            CorruptionSite::ALL.map(|s| s.name()).join(", ")
-                        ));
+                    let Some(site) = Site::by_name(part) else {
+                        return Err(format!("unknown site {part} (one of: {})", Site::ALL.map(Site::name).join(", ")));
                     };
                     if sites.contains(&site) {
-                        return Err(format!("duplicate corruption site {part}"));
+                        return Err(format!("duplicate site {part}"));
                     }
                     sites.push(site);
                 }
@@ -264,6 +260,38 @@ fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<Flags, String> {
     Ok(flags)
 }
 
+/// [`parse_flags`] for a subcommand: prints the error and returns `None`
+/// so the caller can answer with [`usage`].
+fn cli_flags(rest: &[String], allowed: &[&str]) -> Option<Flags> {
+    parse_flags(rest, allowed).map_err(|e| eprintln!("{e}")).ok()
+}
+
+/// Resolves a workload argument, reporting an unknown code.
+fn workload_arg(arg: Option<&String>) -> Option<WorkloadSpec> {
+    let short = arg?;
+    let spec = by_short(short);
+    if spec.is_none() {
+        eprintln!("unknown workload {short}");
+    }
+    spec
+}
+
+/// Splits `args` into its leading workload codes — every Table 3
+/// workload when none are given — and the flags after them (`bench` and
+/// `chaos` take a positional workload list).
+fn workload_list(args: &[String]) -> Result<(Vec<WorkloadSpec>, &[String]), String> {
+    let n = args.iter().take_while(|a| !a.starts_with("--")).count();
+    let specs = if n == 0 {
+        table3()
+    } else {
+        args[..n]
+            .iter()
+            .map(|s| by_short(s).ok_or_else(|| format!("unknown workload {s}")))
+            .collect::<Result<_, _>>()?
+    };
+    Ok((specs, &args[n..]))
+}
+
 impl Flags {
     /// Worker threads for matrix subcommands (`--jobs`, default serial).
     fn jobs(&self) -> usize {
@@ -290,13 +318,10 @@ impl Flags {
         let defaults = ChaosOptions::default();
         ChaosOptions {
             seed: self.seed.unwrap_or(defaults.seed),
-            rates: self.rates.clone().unwrap_or(defaults.rates),
+            rates: self.rates.clone(),
             sites: self.sites.clone().unwrap_or(defaults.sites),
             oracle: self.oracle,
-            rearm: self.rearm,
-            supersteps: self.steps,
-            gc_threads: self.threads.unwrap_or(8),
-            heap_factor: self.heap_factor,
+            run: self.matrix_options(),
         }
     }
 
@@ -312,41 +337,42 @@ impl Flags {
             run: self.matrix_options(),
         }
     }
-
-    fn campaign_options(&self) -> CampaignOptions {
-        CampaignOptions {
-            heap_factor: self.heap_factor,
-            gc_threads: self.threads.unwrap_or(8),
-            supersteps: self.steps,
-            ..Default::default()
-        }
-    }
 }
 
-fn print_result(r: &RunResult) {
-    println!("{r}");
-    println!("  minor: {} pauses, {}   major: {} pauses, {}", r.minor.1, r.minor.0, r.major.1, r.major.0);
+/// `run`'s human-readable report (`fleet --tenants 1` prints it too).
+fn run_text(r: &RunResult) -> String {
+    let mut s = format!("{r}\n");
+    let _ = writeln!(s, "  minor: {} pauses, {}   major: {} pauses, {}", r.minor.1, r.minor.0, r.major.1, r.major.0);
     for (name, bd) in [("minor", &r.minor_breakdown), ("major", &r.major_breakdown)] {
         if bd.total().0 == 0 {
             continue;
         }
-        print!("  {name} breakdown:");
+        s.push_str(&format!("  {name} breakdown:"));
         for b in Bucket::ALL {
             if bd.get(b).0 > 0 {
-                print!(" {b} {:.0}%", bd.fraction(b) * 100.0);
+                let _ = write!(s, " {b} {:.0}%", bd.fraction(b) * 100.0);
             }
         }
-        println!();
+        s.push('\n');
     }
-    println!(
+    let _ = writeln!(
+        s,
         "  GC bandwidth {:.1} GB/s | energy {:.4} J | allocated {:.1} MB",
         r.gc_bandwidth_gbps(),
         r.energy.total_j(),
         r.allocated_bytes as f64 / 1e6
     );
     if let Some(d) = &r.device {
-        println!("  offloads: {}", d.total_offloads());
+        let _ = writeln!(s, "  offloads: {}", d.total_offloads());
     }
+    let _ = writeln!(
+        s,
+        "  traffic: dram {}, off-chip {}, locality {:.0}%",
+        r.traffic.dram,
+        r.traffic.offchip,
+        r.local_ratio() * 100.0
+    );
+    s
 }
 
 fn write_file(path: &str, content: &str) -> Result<(), ExitCode> {
@@ -356,9 +382,42 @@ fn write_file(path: &str, content: &str) -> Result<(), ExitCode> {
     })
 }
 
+/// The shared output tail: writes `json` to `out` when given, then prints
+/// `json` (`--json`) or `text`. Under `--json` stdout carries exactly one
+/// JSON document, so the `wrote FILE` note goes to stderr.
+fn emit(flags: &Flags, out: Option<&str>, json: &Json, text: &dyn Display) -> ExitCode {
+    if let Some(path) = out {
+        if let Err(code) = write_file(path, &json.to_string()) {
+            return code;
+        }
+        if flags.json {
+            eprintln!("wrote {path}");
+        } else {
+            println!("wrote {path}");
+        }
+    }
+    if flags.json {
+        println!("{json}");
+    } else {
+        print!("{text}");
+    }
+    ExitCode::SUCCESS
+}
+
+fn read_json(path: &str) -> Result<Json, ExitCode> {
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("cannot read {path}: {e}");
+        ExitCode::FAILURE
+    })?;
+    Json::parse(&text).map_err(|e| {
+        eprintln!("{path}: invalid JSON: {e}");
+        ExitCode::FAILURE
+    })
+}
+
 /// Runs one workload on all platforms; returns the per-platform results
 /// in `PLATFORMS` order, or the failing platform's error.
-fn compare_runs(spec: &charon::workloads::spec::WorkloadSpec, opts: &RunOptions) -> Result<Vec<RunResult>, String> {
+fn compare_runs(spec: &WorkloadSpec, opts: &RunOptions) -> Result<Vec<RunResult>, String> {
     PLATFORMS
         .iter()
         .map(|p| {
@@ -383,10 +442,26 @@ fn compare_json(short: &str, runs: &[RunResult]) -> Json {
     ])
 }
 
-// The metric flattener (`extract_metrics`), the direction convention
-// (`higher_is_better`), and the pairwise gate (`regressions`) moved to
-// `charon::sim::report` so the history ledger shares them; the CLI only
-// renders their output.
+/// `regress`'s gate: OLD and NEW recorded as a two-run [`Ledger`] and
+/// bisected. Returns how many metrics (matching `filter`) both reports
+/// carry, and the metrics whose NEW value regressed beyond `tolerance`.
+fn gate(old: &Json, new: &Json, filter: Option<&str>, tolerance: f64) -> (usize, Vec<BisectHit>) {
+    let mut ledger = Ledger::new();
+    ledger.record("old", old);
+    ledger.record("new", new);
+    let compared = ledger
+        .metric_names()
+        .iter()
+        .filter(|m| filter.is_none_or(|f| m.contains(f)) && ledger.series(m).iter().all(Option::is_some))
+        .count();
+    (compared, ledger.bisect_all(filter, tolerance))
+}
+
+/// `new / old` of a gate hit (old clamped to ≥ 1 so a zero baseline stays
+/// finite).
+fn ratio(h: &BisectHit) -> f64 {
+    h.new as f64 / h.old.max(1) as f64
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -408,31 +483,19 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("run") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(
-                &args[2..],
-                &[
-                    "--platform",
-                    "--collector",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--mask",
-                    "--rearm",
-                    "--json",
-                    "--trace-out",
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+            let Some(spec) = workload_arg(args.get(1)) else { return usage() };
+            let allowed = [
+                "--platform",
+                "--collector",
+                "--heap-factor",
+                "--threads",
+                "--steps",
+                "--mask",
+                "--rearm",
+                "--json",
+                "--trace-out",
+            ];
+            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
             let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
             let Some(mut sys) = system_by_label(&platform) else {
                 eprintln!("unknown platform {platform}");
@@ -452,23 +515,11 @@ fn main() -> ExitCode {
             match run_workload(&spec, sys, &flags.run_options(telemetry.clone())) {
                 Ok(r) => {
                     if let Some(path) = &flags.trace_out {
-                        let trace = chrome_trace(&telemetry.events());
-                        if let Err(code) = write_file(path, &trace.to_string()) {
+                        if let Err(code) = write_file(path, &chrome_trace(&telemetry.events()).to_string()) {
                             return code;
                         }
                     }
-                    if flags.json {
-                        println!("{}", r.to_json());
-                    } else {
-                        print_result(&r);
-                        println!(
-                            "  traffic: dram {}, off-chip {}, locality {:.0}%",
-                            r.traffic.dram,
-                            r.traffic.offchip,
-                            r.local_ratio() * 100.0
-                        );
-                    }
-                    ExitCode::SUCCESS
+                    emit(&flags, None, &r.to_json(), &run_text(&r))
                 }
                 Err(e) => {
                     eprintln!("{e}");
@@ -477,18 +528,9 @@ fn main() -> ExitCode {
             }
         }
         Some("compare") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(&args[2..], &["--heap-factor", "--threads", "--steps", "--json"]) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+            let Some(spec) = workload_arg(args.get(1)) else { return usage() };
+            let allowed = ["--heap-factor", "--threads", "--steps", "--json"];
+            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
             let runs = match compare_runs(&spec, &flags.run_options(Telemetry::disabled())) {
                 Ok(rs) => rs,
                 Err(e) => {
@@ -496,49 +538,30 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            if flags.json {
-                println!("{}", compare_json(short, &runs));
-            } else {
-                let base = runs[0].gc_time;
-                for r in &runs {
-                    println!(
-                        "{:<16} GC {:>12}  speedup {:>6.2}x  energy {:>8.4} J",
-                        r.platform,
-                        r.gc_time.to_string(),
-                        base.0 as f64 / r.gc_time.0.max(1) as f64,
-                        r.energy.total_j()
-                    );
-                }
+            let base = runs[0].gc_time;
+            let mut text = String::new();
+            for r in &runs {
+                let _ = writeln!(
+                    text,
+                    "{:<16} GC {:>12}  speedup {:>6.2}x  energy {:>8.4} J",
+                    r.platform,
+                    r.gc_time.to_string(),
+                    base.0 as f64 / r.gc_time.0.max(1) as f64,
+                    r.energy.total_j()
+                );
             }
-            ExitCode::SUCCESS
+            emit(&flags, None, &compare_json(spec.short, &runs), &text)
         }
         Some("bench") => {
-            let shorts: Vec<&String> = args[1..].iter().take_while(|a| !a.starts_with("--")).collect();
-            let flag_start = 1 + shorts.len();
-            let flags =
-                match parse_flags(
-                    &args[flag_start..],
-                    &["--collector", "--heap-factor", "--threads", "--steps", "--out", "--jobs"],
-                ) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-            let specs = if shorts.is_empty() {
-                table3()
-            } else {
-                let mut v = Vec::new();
-                for s in shorts {
-                    let Some(spec) = by_short(s) else {
-                        eprintln!("unknown workload {s}");
-                        return usage();
-                    };
-                    v.push(spec);
+            let (specs, rest) = match workload_list(&args[1..]) {
+                Ok(split) => split,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return usage();
                 }
-                v
             };
+            let allowed = ["--collector", "--heap-factor", "--threads", "--steps", "--out", "--jobs"];
+            let Some(flags) = cli_flags(rest, &allowed) else { return usage() };
             // The whole workload × platform matrix runs through the
             // parallel runner; at --jobs 1 (the default) parallel_map
             // degenerates to the old serial loop. Cell order — and with
@@ -578,140 +601,66 @@ fn main() -> ExitCode {
         }
         Some("check-json") => {
             let Some(path) = args.get(1) else { return usage() };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match Json::parse(&text) {
+            match read_json(path) {
                 Ok(_) => {
                     println!("{path}: valid JSON");
                     ExitCode::SUCCESS
                 }
-                Err(e) => {
-                    eprintln!("{path}: invalid JSON: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("fault-campaign") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags =
-                match parse_flags(&args[2..], &["--seed", "--heap-factor", "--threads", "--steps", "--json", "--jobs"])
-                {
-                    Ok(f) => f,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-            let seed = flags.seed.unwrap_or(42);
-            match run_fault_campaign_jobs(&spec, seed, &flags.campaign_options(), flags.jobs()) {
-                Ok(report) => {
-                    if flags.json {
-                        println!("{}", report.to_json());
-                    } else {
-                        println!("{report}");
-                    }
-                    if report.pass() {
-                        ExitCode::SUCCESS
-                    } else {
-                        eprintln!("fault campaign FAILED for {short} (seed {seed})");
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("{short}: fault-free baseline failed: {e}");
-                    ExitCode::FAILURE
-                }
+                Err(code) => code,
             }
         }
         Some("chaos") => {
-            let shorts: Vec<&String> = args[1..].iter().take_while(|a| !a.starts_with("--")).collect();
-            let flag_start = 1 + shorts.len();
-            let flags = match parse_flags(
-                &args[flag_start..],
-                &[
-                    "--rates",
-                    "--sites",
-                    "--oracle",
-                    "--rearm",
-                    "--seed",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--json",
-                    "--out",
-                    "--jobs",
-                ],
-            ) {
-                Ok(f) => f,
+            let (specs, rest) = match workload_list(&args[1..]) {
+                Ok(split) => split,
                 Err(e) => {
                     eprintln!("{e}");
                     return usage();
                 }
             };
-            let specs = if shorts.is_empty() {
-                table3()
-            } else {
-                let mut v = Vec::new();
-                for s in shorts {
-                    let Some(spec) = by_short(s) else {
-                        eprintln!("unknown workload {s}");
-                        return usage();
-                    };
-                    v.push(spec);
+            let allowed = [
+                "--sites",
+                "--rates",
+                "--oracle",
+                "--rearm",
+                "--seed",
+                "--heap-factor",
+                "--threads",
+                "--steps",
+                "--json",
+                "--out",
+                "--jobs",
+            ];
+            let Some(flags) = cli_flags(rest, &allowed) else { return usage() };
+            let report = match run_chaos_campaign(&specs, &flags.chaos_options(), flags.jobs()) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
                 }
-                v
             };
-            let report = run_chaos_campaign(&specs, &flags.chaos_options(), flags.jobs());
-            if let Some(path) = &flags.out {
-                if let Err(code) = write_file(path, &report.to_json().to_string()) {
-                    return code;
-                }
-                println!("wrote {path}");
-            }
-            if flags.json {
-                println!("{}", report.to_json());
-            } else {
-                print!("{report}");
-            }
+            let code = emit(&flags, flags.out.as_deref(), &report.to_json(), &report);
             if report.pass() {
-                ExitCode::SUCCESS
+                code
             } else {
                 eprintln!("chaos campaign FAILED ({} escaped, {} cells)", report.escaped(), report.cells.len());
                 ExitCode::FAILURE
             }
         }
         Some("fleet") => {
-            let flags = match parse_flags(
-                &args[1..],
-                &[
-                    "--tenants",
-                    "--mix",
-                    "--sched",
-                    "--platform",
-                    "--seed",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--json",
-                    "--out",
-                    "--jobs",
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+            let allowed = [
+                "--tenants",
+                "--mix",
+                "--sched",
+                "--platform",
+                "--seed",
+                "--heap-factor",
+                "--threads",
+                "--steps",
+                "--json",
+                "--out",
+                "--jobs",
+            ];
+            let Some(flags) = cli_flags(&args[1..], &allowed) else { return usage() };
             let opts = flags.fleet_options();
             // A one-tenant fleet has nothing to schedule: it IS a plain
             // run, and prints byte-identically to `charon-cli run` so
@@ -729,25 +678,7 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 return match run_workload(&spec, sys, &flags.run_options(Telemetry::disabled())) {
-                    Ok(r) => {
-                        if let Some(path) = &flags.out {
-                            if let Err(code) = write_file(path, &r.to_json().to_string()) {
-                                return code;
-                            }
-                        }
-                        if flags.json {
-                            println!("{}", r.to_json());
-                        } else {
-                            print_result(&r);
-                            println!(
-                                "  traffic: dram {}, off-chip {}, locality {:.0}%",
-                                r.traffic.dram,
-                                r.traffic.offchip,
-                                r.local_ratio() * 100.0
-                            );
-                        }
-                        ExitCode::SUCCESS
-                    }
+                    Ok(r) => emit(&flags, flags.out.as_deref(), &r.to_json(), &run_text(&r)),
                     Err(e) => {
                         eprintln!("{e}");
                         ExitCode::FAILURE
@@ -755,20 +686,7 @@ fn main() -> ExitCode {
                 };
             }
             match run_fleet(&opts) {
-                Ok(rep) => {
-                    if let Some(path) = &flags.out {
-                        if let Err(code) = write_file(path, &rep.to_json().to_string()) {
-                            return code;
-                        }
-                        println!("wrote {path}");
-                    }
-                    if flags.json {
-                        println!("{}", rep.to_json());
-                    } else {
-                        print!("{rep}");
-                    }
-                    ExitCode::SUCCESS
-                }
+                Ok(rep) => emit(&flags, flags.out.as_deref(), &rep.to_json(), &rep),
                 Err(e) => {
                     eprintln!("{e}");
                     ExitCode::FAILURE
@@ -776,30 +694,18 @@ fn main() -> ExitCode {
             }
         }
         Some("profile") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(
-                &args[2..],
-                &[
-                    "--platform",
-                    "--collector",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--top",
-                    "--json",
-                    "--profile-out",
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+            let Some(spec) = workload_arg(args.get(1)) else { return usage() };
+            let allowed = [
+                "--platform",
+                "--collector",
+                "--heap-factor",
+                "--threads",
+                "--steps",
+                "--top",
+                "--json",
+                "--profile-out",
+            ];
+            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
             let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
             let Some(sys) = system_by_label(&platform) else {
                 eprintln!("unknown platform {platform}");
@@ -814,18 +720,7 @@ fn main() -> ExitCode {
             match run_workload(&spec, sys, &opts) {
                 Ok(r) => {
                     let profile = r.profile.as_ref().expect("profiler was enabled");
-                    if let Some(path) = &flags.profile_out {
-                        if let Err(code) = write_file(path, &profile.to_json().to_string()) {
-                            return code;
-                        }
-                        println!("wrote {path}");
-                    }
-                    if flags.json {
-                        println!("{}", profile.to_json());
-                    } else {
-                        print!("{profile}");
-                    }
-                    ExitCode::SUCCESS
+                    emit(&flags, flags.profile_out.as_deref(), &profile.to_json(), profile)
                 }
                 Err(e) => {
                     eprintln!("{e}");
@@ -834,21 +729,9 @@ fn main() -> ExitCode {
             }
         }
         Some("explain") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(
-                &args[2..],
-                &["--platform", "--top", "--heap-factor", "--threads", "--steps", "--json"],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+            let Some(spec) = workload_arg(args.get(1)) else { return usage() };
+            let allowed = ["--platform", "--top", "--heap-factor", "--threads", "--steps", "--json"];
+            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
             let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
             let Some(sys) = system_by_label(&platform) else {
                 eprintln!("unknown platform {platform}");
@@ -859,14 +742,9 @@ fn main() -> ExitCode {
             match run_workload(&spec, sys, &opts) {
                 Ok(r) => {
                     let profile = r.profile.as_ref().expect("postmortem forces profile collection");
-                    if flags.json {
-                        println!("{}", profile.to_json());
-                    } else {
-                        println!("explain: {short} on {platform} — GC {}", r.gc_time);
-                        let pm = profile.postmortem.as_ref().expect("postmortem was enabled");
-                        print!("{pm}");
-                    }
-                    ExitCode::SUCCESS
+                    let pm = profile.postmortem.as_ref().expect("postmortem was enabled");
+                    let text = format!("explain: {} on {platform} — GC {}\n{pm}", spec.short, r.gc_time);
+                    emit(&flags, None, &profile.to_json(), &text)
                 }
                 Err(e) => {
                     eprintln!("{e}");
@@ -875,31 +753,19 @@ fn main() -> ExitCode {
             }
         }
         Some("autotune") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(
-                &args[2..],
-                &[
-                    "--platform",
-                    "--policy",
-                    "--seed",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--json",
-                    "--out",
-                    "--jobs",
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+            let Some(spec) = workload_arg(args.get(1)) else { return usage() };
+            let allowed = [
+                "--platform",
+                "--policy",
+                "--seed",
+                "--heap-factor",
+                "--threads",
+                "--steps",
+                "--json",
+                "--out",
+                "--jobs",
+            ];
+            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
             let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
             if system_by_label(&platform).is_none() {
                 eprintln!("unknown platform {platform}");
@@ -910,27 +776,9 @@ fn main() -> ExitCode {
             if let Some(seed) = flags.seed {
                 opts.policy_seed = seed;
             }
-            match autotune_jobs(
-                &spec,
-                || system_by_label(&platform).expect("validated above"),
-                policy,
-                &opts,
-                flags.jobs(),
-            ) {
-                Ok(rep) => {
-                    if let Some(path) = &flags.out {
-                        if let Err(code) = write_file(path, &rep.to_json().to_string()) {
-                            return code;
-                        }
-                        println!("wrote {path}");
-                    }
-                    if flags.json {
-                        println!("{}", rep.to_json());
-                    } else {
-                        print!("{rep}");
-                    }
-                    ExitCode::SUCCESS
-                }
+            let make = || system_by_label(&platform).expect("validated above");
+            match autotune_jobs(&spec, make, policy, &opts, flags.jobs()) {
+                Ok(rep) => emit(&flags, flags.out.as_deref(), &rep.to_json(), &rep),
                 Err(e) => {
                     eprintln!("{e}");
                     ExitCode::FAILURE
@@ -939,60 +787,34 @@ fn main() -> ExitCode {
         }
         Some("regress") => {
             let (Some(old_path), Some(new_path)) = (args.get(1), args.get(2)) else { return usage() };
-            let flags = match parse_flags(&args[3..], &["--tolerance", "--metric"]) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+            let Some(flags) = cli_flags(&args[3..], &["--tolerance", "--metric"]) else { return usage() };
             let tolerance = flags.tolerance.unwrap_or(10.0);
-            let mut reports = Vec::new();
-            for path in [old_path, new_path] {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match Json::parse(&text) {
-                    Ok(j) => reports.push(j),
-                    Err(e) => {
-                        eprintln!("{path}: invalid JSON: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            let (compared, regs) = regressions(&reports[0], &reports[1], tolerance);
+            let old = match read_json(old_path) {
+                Ok(j) => j,
+                Err(code) => return code,
+            };
+            let new = match read_json(new_path) {
+                Ok(j) => j,
+                Err(code) => return code,
+            };
             // --metric narrows both the comparison count and the verdict,
             // so "0 comparable metrics" still errors when the filter
             // matches nothing.
-            let (compared, regs) = match &flags.metric {
-                None => (compared, regs),
-                Some(f) => {
-                    let news = extract_metrics(&reports[1]);
-                    let compared = extract_metrics(&reports[0])
-                        .iter()
-                        .filter(|(m, _)| m.contains(f.as_str()) && news.iter().any(|(n, _)| n == m))
-                        .count();
-                    (compared, regs.into_iter().filter(|r| r.metric.contains(f.as_str())).collect())
-                }
-            };
+            let (compared, hits) = gate(&old, &new, flags.metric.as_deref(), tolerance);
             if compared == 0 {
                 eprintln!("no comparable metrics between {old_path} and {new_path}");
                 return ExitCode::FAILURE;
             }
-            for r in &regs {
-                println!("REGRESSION {}: {} -> {} ({:.2}x, tolerance {tolerance}%)", r.metric, r.old, r.new, r.ratio());
+            for h in &hits {
+                println!("REGRESSION {}: {} -> {} ({:.2}x, tolerance {tolerance}%)", h.metric, h.old, h.new, ratio(h));
             }
-            if regs.is_empty() {
+            if hits.is_empty() {
                 println!("{compared} metrics within {tolerance}% of {old_path}");
                 ExitCode::SUCCESS
             } else {
                 // Exit 2 distinguishes "the gate tripped" from exit 1's
                 // usage/IO/parse errors, so CI can tell them apart.
-                eprintln!("{} of {compared} metrics regressed beyond {tolerance}%", regs.len());
+                eprintln!("{} of {compared} metrics regressed beyond {tolerance}%", hits.len());
                 ExitCode::from(2)
             }
         }
@@ -1010,13 +832,7 @@ fn main() -> ExitCode {
             match args.get(1).map(String::as_str) {
                 Some("record") => {
                     let (Some(ledger_path), Some(report_path)) = (args.get(2), args.get(3)) else { return usage() };
-                    let flags = match parse_flags(&args[4..], &["--label"]) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return usage();
-                        }
-                    };
+                    let Some(flags) = cli_flags(&args[4..], &["--label"]) else { return usage() };
                     // A missing ledger starts fresh; an unreadable or
                     // malformed one is an error, never silently replaced.
                     let mut ledger = if std::path::Path::new(ledger_path).exists() {
@@ -1027,18 +843,9 @@ fn main() -> ExitCode {
                     } else {
                         Ledger::new()
                     };
-                    let report = match std::fs::read_to_string(report_path) {
-                        Ok(t) => match Json::parse(&t) {
-                            Ok(j) => j,
-                            Err(e) => {
-                                eprintln!("{report_path}: invalid JSON: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        },
-                        Err(e) => {
-                            eprintln!("cannot read {report_path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
+                    let report = match read_json(report_path) {
+                        Ok(j) => j,
+                        Err(code) => return code,
                     };
                     let label = flags.label.clone().unwrap_or_else(|| format!("run-{}", ledger.runs.len()));
                     let n = ledger.record(label.clone(), &report);
@@ -1054,40 +861,21 @@ fn main() -> ExitCode {
                 }
                 Some("report") => {
                     let Some(ledger_path) = args.get(2) else { return usage() };
-                    let flags = match parse_flags(&args[3..], &["--metric", "--tolerance", "--json", "--out"]) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return usage();
-                        }
-                    };
+                    let allowed = ["--metric", "--tolerance", "--json", "--out"];
+                    let Some(flags) = cli_flags(&args[3..], &allowed) else { return usage() };
                     let ledger = match read_ledger(ledger_path) {
                         Ok(l) => l,
                         Err(code) => return code,
                     };
                     let tolerance = flags.tolerance.unwrap_or(10.0);
                     let filter = flags.metric.as_deref();
-                    if let Some(path) = &flags.out {
-                        if let Err(code) = write_file(path, &ledger.trend_json(filter, tolerance).to_string()) {
-                            return code;
-                        }
-                        println!("wrote {path}");
-                    }
-                    if flags.json {
-                        println!("{}", ledger.trend_json(filter, tolerance));
-                    } else {
-                        print!("{}", ledger.trend_report(filter, tolerance));
-                    }
-                    ExitCode::SUCCESS
+                    let json = ledger.trend_json(filter, tolerance);
+                    emit(&flags, flags.out.as_deref(), &json, &ledger.trend_report(filter, tolerance))
                 }
                 Some("bisect") => {
                     let Some(ledger_path) = args.get(2) else { return usage() };
-                    let flags = match parse_flags(&args[3..], &["--metric", "--tolerance", "--json"]) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return usage();
-                        }
+                    let Some(flags) = cli_flags(&args[3..], &["--metric", "--tolerance", "--json"]) else {
+                        return usage();
                     };
                     let ledger = match read_ledger(ledger_path) {
                         Ok(l) => l,
@@ -1145,7 +933,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charon::sim::report::higher_is_better;
+    use charon::sim::faults::CorruptionSite;
+    use charon::sim::report::{extract_metrics, higher_is_better};
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -1186,9 +975,12 @@ mod tests {
 
     #[test]
     fn collector_flag_accepts_every_kind_and_rejects_unknowns() {
-        for (name, kind) in
-            [("ps", CollectorKind::Ps), ("ms", CollectorKind::Ms), ("cms", CollectorKind::Cms), ("g1", CollectorKind::G1)]
-        {
+        for (name, kind) in [
+            ("ps", CollectorKind::Ps),
+            ("ms", CollectorKind::Ms),
+            ("cms", CollectorKind::Cms),
+            ("g1", CollectorKind::G1),
+        ] {
             let f = parse_flags(&argv(&["--collector", name]), &RUN_FLAGS).unwrap();
             assert_eq!(f.collector, Some(kind), "{name}");
         }
@@ -1232,7 +1024,7 @@ mod tests {
 
     #[test]
     fn rejects_flags_outside_the_subcommand_allowlist() {
-        // `compare` takes no --platform; `fault-campaign` owns --seed.
+        // `compare` takes no --platform; `run` takes no --seed.
         let e = parse_flags(&argv(&["--platform", "Charon"]), &["--heap-factor", "--json"]).unwrap_err();
         assert!(e.contains("not valid for this subcommand"), "{e}");
         let e = parse_flags(&argv(&["--seed", "7"]), &RUN_FLAGS).unwrap_err();
@@ -1301,7 +1093,7 @@ mod tests {
     #[test]
     fn identical_reports_pass_the_gate() {
         let r = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
-        let (compared, regs) = regressions(&r, &r, 10.0);
+        let (compared, regs) = gate(&r, &r, None, 10.0);
         assert_eq!(compared, 4, "gc_time + p99 per run");
         assert!(regs.is_empty(), "{regs:?}");
     }
@@ -1310,18 +1102,18 @@ mod tests {
     fn doubled_gc_time_is_flagged() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("BS", 2_000, 100)]);
-        let (compared, regs) = regressions(&old, &new, 10.0);
+        let (compared, regs) = gate(&old, &new, None, 10.0);
         assert_eq!(compared, 2);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "BS/Charon/gc_time_ps");
-        assert!((regs[0].ratio() - 2.0).abs() < 1e-12);
+        assert!((ratio(&regs[0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn p99_regression_is_flagged_independently() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("BS", 1_000, 250)]);
-        let (_, regs) = regressions(&old, &new, 10.0);
+        let (_, regs) = gate(&old, &new, None, 10.0);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "BS/Charon/pause_minor_p99_ps");
     }
@@ -1330,9 +1122,9 @@ mod tests {
     fn growth_within_tolerance_passes() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("BS", 1_050, 104)]);
-        let (_, regs) = regressions(&old, &new, 10.0);
+        let (_, regs) = gate(&old, &new, None, 10.0);
         assert!(regs.is_empty(), "{regs:?}");
-        let (_, regs) = regressions(&old, &new, 1.0);
+        let (_, regs) = gate(&old, &new, None, 1.0);
         assert_eq!(regs.len(), 2, "tighter tolerance flags both");
     }
 
@@ -1340,15 +1132,26 @@ mod tests {
     fn zero_baseline_regresses_on_any_growth() {
         let old = bench_report(&[("BS", 0, 0)]);
         let new = bench_report(&[("BS", 1, 0)]);
-        let (_, regs) = regressions(&old, &new, 10.0);
+        let (_, regs) = gate(&old, &new, None, 10.0);
         assert_eq!(regs.len(), 1);
+    }
+
+    #[test]
+    fn metric_filter_narrows_the_count_and_the_verdict() {
+        let old = bench_report(&[("BS", 1_000, 100)]);
+        let new = bench_report(&[("BS", 2_000, 100)]);
+        let (compared, regs) = gate(&old, &new, Some("p99"), 10.0);
+        assert_eq!((compared, regs.len()), (1, 0), "the gc_time regression is filtered out");
+        let (compared, regs) = gate(&old, &new, Some("gc_time"), 10.0);
+        assert_eq!((compared, regs.len()), (1, 1));
+        assert_eq!(gate(&old, &new, Some("nothing"), 10.0).0, 0, "a filter matching nothing compares nothing");
     }
 
     #[test]
     fn disjoint_reports_compare_nothing() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("KM", 1_000, 100)]);
-        let (compared, regs) = regressions(&old, &new, 10.0);
+        let (compared, regs) = gate(&old, &new, None, 10.0);
         assert_eq!((compared, regs.len()), (0, 0));
     }
 
@@ -1412,12 +1215,12 @@ mod tests {
         let old = selfspeed_report(&[("BS", 10_000)]);
         let faster = selfspeed_report(&[("BS", 20_000)]);
         let slower = selfspeed_report(&[("BS", 8_000)]);
-        let (compared, regs) = regressions(&old, &faster, 15.0);
+        let (compared, regs) = gate(&old, &faster, None, 15.0);
         assert_eq!((compared, regs.len()), (1, 0), "a speedup must never trip the gate");
-        let (_, regs) = regressions(&old, &slower, 15.0);
+        let (_, regs) = gate(&old, &slower, None, 15.0);
         assert_eq!(regs.len(), 1, "a 20% slowdown trips the 15% gate");
         assert_eq!(regs[0].metric, "BS/Charon/selfspeed_sim_ps_per_wall_s");
-        let (_, regs) = regressions(&old, &selfspeed_report(&[("BS", 9_000)]), 15.0);
+        let (_, regs) = gate(&old, &selfspeed_report(&[("BS", 9_000)]), None, 15.0);
         assert!(regs.is_empty(), "a 10% slowdown stays within the 15% tolerance");
     }
 
@@ -1442,7 +1245,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(f.rates, Some(vec![0.02, 0.1]));
-        assert_eq!(f.sites, Some(vec![CorruptionSite::BitmapWord, CorruptionSite::CardByte]));
+        let sites = [CorruptionSite::BitmapWord, CorruptionSite::CardByte].map(Site::Corruption);
+        assert_eq!(f.sites, Some(sites.to_vec()));
         assert!(f.oracle);
         assert_eq!(f.rearm, Some(3));
     }
@@ -1453,9 +1257,9 @@ mod tests {
         let e = parse_flags(&argv(&["--rates", "1.5"]), &all).unwrap_err();
         assert!(e.contains("out of range"), "{e}");
         let e = parse_flags(&argv(&["--sites", "bitmap,nonsense"]), &all).unwrap_err();
-        assert!(e.contains("unknown corruption site nonsense"), "{e}");
+        assert!(e.contains("unknown site nonsense"), "{e}");
         let e = parse_flags(&argv(&["--sites", "card,card"]), &all).unwrap_err();
-        assert!(e.contains("duplicate corruption site"), "{e}");
+        assert!(e.contains("duplicate site"), "{e}");
         let e = parse_flags(&argv(&["--rearm", "0"]), &all).unwrap_err();
         assert!(e.contains("--rearm 0"), "{e}");
     }
@@ -1510,10 +1314,10 @@ mod tests {
         }
         // Worse interference trips the gate; identical reports pass.
         let old = fleet_report(500, 9_000, 12_000);
-        let (compared, regs) = regressions(&old, &fleet_report(500, 9_000, 15_000), 10.0);
+        let (compared, regs) = gate(&old, &fleet_report(500, 9_000, 15_000), None, 10.0);
         assert_eq!(compared, 4);
         assert_eq!(regs.len(), 2, "fleet-wide and per-tenant inflation both flagged");
-        let (_, regs) = regressions(&old, &old, 10.0);
+        let (_, regs) = gate(&old, &old, None, 10.0);
         assert!(regs.is_empty(), "{regs:?}");
     }
 
@@ -1560,14 +1364,14 @@ mod tests {
         let old = chaos_report(200, 200, 200, 0);
         // Detection dropped 100% -> 80%: trips the higher-is-better gate.
         let worse_detection = chaos_report(200, 160, 160, 40);
-        let (compared, regs) = regressions(&old, &worse_detection, 10.0);
+        let (compared, regs) = gate(&old, &worse_detection, None, 10.0);
         assert_eq!(compared, 4);
         let names: Vec<&str> = regs.iter().map(|r| r.metric.as_str()).collect();
         assert!(names.contains(&"chaos/detection_rate_bp"), "{names:?}");
         // Escapes over a zero baseline regress on any nonzero count.
         assert!(names.contains(&"chaos/escaped"), "{names:?}");
         // Identical reports pass clean.
-        let (_, regs) = regressions(&old, &chaos_report(200, 200, 200, 0), 10.0);
+        let (_, regs) = gate(&old, &chaos_report(200, 200, 200, 0), None, 10.0);
         assert!(regs.is_empty(), "{regs:?}");
     }
 }
