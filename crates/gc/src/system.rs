@@ -275,6 +275,32 @@ impl System {
         self.profiler = profiler;
     }
 
+    /// Appends `op` to the collection's trace when trace recording is on;
+    /// one branch otherwise.
+    #[inline]
+    fn trace(&mut self, op: impl FnOnce() -> crate::trace::TraceOp) {
+        if self.record_traces {
+            if let Some(t) = self.traces.last_mut() {
+                t.ops.push(op());
+            }
+        }
+    }
+
+    /// Records one completed primitive into the telemetry journal and the
+    /// profiler's per-primitive channel; one branch per sink when off.
+    #[inline]
+    fn record_prim(&self, prim: PrimType, core: usize, start: Ps, end: Ps, bytes: impl FnOnce() -> u64) {
+        self.telemetry
+            .record(|| Event::Prim { prim: prim.name(), thread: core, start, end, bytes: bytes() });
+        let channel = match prim {
+            PrimType::Copy => Channel::PrimCopy,
+            PrimType::Search => Channel::PrimSearch,
+            PrimType::BitmapCount => Channel::PrimBitmapCount,
+            PrimType::ScanPush => Channel::PrimScanPush,
+        };
+        self.profiler.record(channel, end.saturating_sub(start));
+    }
+
     /// A short label for reports ("DDR4", "HMC", "Charon", …).
     pub fn label(&self) -> &'static str {
         match (self.backend, self.cfg.platform) {
@@ -295,16 +321,12 @@ impl System {
     /// given word-sized memory accesses, all overlappable. Returns the
     /// completion time.
     pub fn host_op(&mut self, core: usize, now: Ps, instrs: u64, accesses: &[(VAddr, AccessKind)]) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::HostOp {
-                    instrs,
-                    accesses: accesses.to_vec(),
-                    stream: false,
-                    bucket: crate::breakdown::Bucket::Other,
-                });
-            }
-        }
+        self.trace(|| crate::trace::TraceOp::HostOp {
+            instrs,
+            accesses: accesses.to_vec(),
+            stream: false,
+            bucket: crate::breakdown::Bucket::Other,
+        });
         let mut end = now + self.compute(instrs);
         for &(a, kind) in accesses {
             end = end.max(self.host.mem_access(core, now, a.0, 8, kind));
@@ -319,16 +341,12 @@ impl System {
     /// clock by the former and folds the latter into a phase-level drain
     /// time (see `GcThreads::advance_all_to`).
     pub fn host_stream_op(&mut self, core: usize, now: Ps, instrs: u64, accesses: &[(VAddr, AccessKind)]) -> (Ps, Ps) {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::HostOp {
-                    instrs,
-                    accesses: accesses.to_vec(),
-                    stream: true,
-                    bucket: crate::breakdown::Bucket::Other,
-                });
-            }
-        }
+        self.trace(|| crate::trace::TraceOp::HostOp {
+            instrs,
+            accesses: accesses.to_vec(),
+            stream: true,
+            bucket: crate::breakdown::Bucket::Other,
+        });
         let cpu = now + self.compute(instrs);
         let mut mem = cpu;
         for &(a, kind) in accesses {
@@ -381,11 +399,7 @@ impl System {
     /// its host/device side effects record no trace ops, so the marker's
     /// position in the op stream is the phase boundary.
     fn note_phase(&mut self, flush: crate::trace::FlushKind, start: Ps, end: Ps) {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::Phase { flush });
-            }
-        }
+        self.trace(|| crate::trace::TraceOp::Phase { flush });
         if !matches!(flush, crate::trace::FlushKind::Barrier) {
             self.telemetry
                 .record(|| Event::Flush { kind: flush.name(), start, end, lines: flush.lines() });
@@ -411,11 +425,7 @@ impl System {
     /// overlap in the core's miss window; returns when both the compute
     /// stream and the last write are done.
     pub fn host_stream_clear(&mut self, core: usize, now: Ps, range: charon_heap::addr::VRange) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::StreamClear { range });
-            }
-        }
+        self.trace(|| crate::trace::TraceOp::StreamClear { range });
         let mut cursor = now;
         let mut end = now;
         let lines = range.bytes() / 64;
@@ -558,11 +568,7 @@ impl System {
     /// *Copy* `bytes` from `src` to `dst` (timing only).
     pub fn prim_copy(&mut self, core: usize, now: Ps, src: VAddr, dst: VAddr, bytes: u64) -> Ps {
         debug_assert!(bytes > 0);
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::Copy { src, dst, bytes });
-            }
-        }
+        self.trace(|| crate::trace::TraceOp::Copy { src, dst, bytes });
         let end = match self.backend {
             Backend::Host => self.host_copy(core, now, src, dst, bytes),
             Backend::Charon | Backend::CpuSideCharon if !self.offload.get(PrimType::Copy) => {
@@ -574,20 +580,14 @@ impl System {
             }
             Backend::Ideal => now,
         };
-        self.telemetry
-            .record(|| Event::Prim { prim: PrimType::Copy.name(), thread: core, start: now, end, bytes });
-        self.profiler.record(Channel::PrimCopy, end.saturating_sub(now));
+        self.record_prim(PrimType::Copy, core, now, end, || bytes);
         end
     }
 
     /// *Search* `scanned_bytes` of the card table from `start` (timing
     /// only; the functional scan decided how far the search ran).
     pub fn prim_search(&mut self, core: usize, now: Ps, start: VAddr, scanned_bytes: u64) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::Search { start, bytes: scanned_bytes });
-            }
-        }
+        self.trace(|| crate::trace::TraceOp::Search { start, bytes: scanned_bytes });
         let end = match self.backend {
             Backend::Host => self.host_search(core, now, start, scanned_bytes),
             Backend::Charon | Backend::CpuSideCharon if !self.offload.get(PrimType::Search) => {
@@ -599,24 +599,13 @@ impl System {
             }
             Backend::Ideal => now,
         };
-        self.telemetry.record(|| Event::Prim {
-            prim: PrimType::Search.name(),
-            thread: core,
-            start: now,
-            end,
-            bytes: scanned_bytes,
-        });
-        self.profiler.record(Channel::PrimSearch, end.saturating_sub(now));
+        self.record_prim(PrimType::Search, core, now, end, || scanned_bytes);
         end
     }
 
     /// *Bitmap Count* over byte `spans` of the begin and end maps.
     pub fn prim_bitmap_count(&mut self, core: usize, now: Ps, spans: &[(VAddr, u64)]) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::BitmapCount { spans: spans.to_vec() });
-            }
-        }
+        self.trace(|| crate::trace::TraceOp::BitmapCount { spans: spans.to_vec() });
         let end = match self.backend {
             Backend::Host => self.host_bitmap_count(core, now, spans),
             Backend::Charon | Backend::CpuSideCharon if !self.offload.get(PrimType::BitmapCount) => {
@@ -628,14 +617,7 @@ impl System {
             }
             Backend::Ideal => now,
         };
-        self.telemetry.record(|| Event::Prim {
-            prim: PrimType::BitmapCount.name(),
-            thread: core,
-            start: now,
-            end,
-            bytes: spans.iter().map(|&(_, b)| b).sum(),
-        });
-        self.profiler.record(Channel::PrimBitmapCount, end.saturating_sub(now));
+        self.record_prim(PrimType::BitmapCount, core, now, end, || spans.iter().map(|&(_, b)| b).sum());
         end
     }
 
@@ -651,16 +633,12 @@ impl System {
         refs: &[ScanRef],
         hardware_iterable: bool,
     ) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::ScanPush {
-                    fields_start,
-                    field_bytes,
-                    refs: refs.to_vec(),
-                    hw: hardware_iterable,
-                });
-            }
-        }
+        self.trace(|| crate::trace::TraceOp::ScanPush {
+            fields_start,
+            field_bytes,
+            refs: refs.to_vec(),
+            hw: hardware_iterable,
+        });
         let end = match self.backend {
             Backend::Host => self.host_scan_push(core, now, fields_start, field_bytes, refs),
             Backend::Charon | Backend::CpuSideCharon if !self.offload.get(PrimType::ScanPush) => {
@@ -676,14 +654,7 @@ impl System {
             }
             Backend::Ideal => now,
         };
-        self.telemetry.record(|| Event::Prim {
-            prim: PrimType::ScanPush.name(),
-            thread: core,
-            start: now,
-            end,
-            bytes: field_bytes,
-        });
-        self.profiler.record(Channel::PrimScanPush, end.saturating_sub(now));
+        self.record_prim(PrimType::ScanPush, core, now, end, || field_bytes);
         end
     }
 

@@ -29,7 +29,7 @@
 //! ([`parallel_map_result`]); the `charon-chaos-v1` report
 //! ([`ChaosReport::to_json`]) comes back in matrix order at any job count.
 
-use crate::parmatrix::{parallel_map_result, MatrixOptions};
+use crate::parmatrix::parallel_map_result;
 use crate::run::{run_workload_full, RunOptions, RunResult};
 use crate::spec::WorkloadSpec;
 use charon_gc::breakdown::RecoverySummary;
@@ -133,18 +133,12 @@ pub struct ChaosOptions {
     /// and diff) on top of the checksum/read-back detectors.
     pub oracle: bool,
     /// Run options every control and cell shares.
-    pub run: MatrixOptions,
+    pub run: RunOptions,
 }
 
 impl Default for ChaosOptions {
     fn default() -> ChaosOptions {
-        ChaosOptions {
-            seed: 0xC0DE,
-            rates: None,
-            sites: Site::ALL.to_vec(),
-            oracle: false,
-            run: MatrixOptions::default(),
-        }
+        ChaosOptions { seed: 0xC0DE, rates: None, sites: Site::ALL.to_vec(), oracle: false, run: RunOptions::default() }
     }
 }
 
@@ -604,7 +598,7 @@ pub fn run_chaos_campaign(specs: &[WorkloadSpec], opts: &ChaosOptions, jobs: usi
         if let Some(c) = cell {
             c.site.arm(&mut sys, c.seed, c.rate, opts.oracle);
         }
-        run_cell(spec, sys, &opts.run.to_run_options()).map_err(|e| e.to_string())
+        run_cell(spec, sys, &opts.run).map_err(|e| e.to_string())
     })
     .into_iter()
     .map(|r| r.unwrap_or_else(|panic| Err(format!("panic: {panic}"))))
@@ -641,7 +635,7 @@ mod tests {
     fn opts(names: &str, steps: usize) -> ChaosOptions {
         ChaosOptions {
             sites: sites(names),
-            run: MatrixOptions { supersteps: Some(steps), ..Default::default() },
+            run: RunOptions { supersteps: Some(steps), ..Default::default() },
             ..Default::default()
         }
     }

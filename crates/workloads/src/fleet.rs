@@ -30,8 +30,8 @@
 //! scheduler is work-conserving and an uncontended request starts
 //! immediately.
 
-use crate::parmatrix::{parallel_map_labeled, system_by_label, MatrixOptions, PLATFORM_LABELS};
-use crate::run::run_workload_events;
+use crate::parmatrix::{parallel_map_labeled, system_by_label, PLATFORM_LABELS};
+use crate::run::{run_workload_events, RunOptions};
 use crate::spec::{by_short, table3, WorkloadSpec};
 use charon_sim::clocks::ClockSet;
 use charon_sim::hist::Histogram;
@@ -290,10 +290,8 @@ pub struct FleetOptions {
     pub sched: SchedKind,
     /// Seed for the deterministic tenant stagger offsets.
     pub seed: u64,
-    /// Worker threads for the solo phase (the schedule phase is serial).
-    pub jobs: usize,
-    /// Per-tenant run options (plain data — shared with the matrix path).
-    pub run: MatrixOptions,
+    /// Per-tenant run options.
+    pub run: RunOptions,
 }
 
 impl Default for FleetOptions {
@@ -304,8 +302,7 @@ impl Default for FleetOptions {
             mix: None,
             sched: SchedKind::Fifo,
             seed: 7,
-            jobs: 1,
-            run: MatrixOptions::default(),
+            run: RunOptions::default(),
         }
     }
 }
@@ -615,14 +612,14 @@ fn simulate(streams: &[TenantStream], mut policy: Box<dyn SchedPolicy>) -> SimOu
     SimOut { sched_pause, pauses, makespan }
 }
 
-/// Runs the fleet: solo phase (parallel over distinct workloads), then
-/// the serial schedule phase.
+/// Runs the fleet: solo phase (distinct workloads in parallel on up to
+/// `jobs` threads), then the serial schedule phase.
 ///
 /// # Errors
 ///
 /// Unknown platform, bad mix, or a tenant's solo run going out of
 /// memory — all as strings, ready for CLI reporting.
-pub fn run_fleet(opts: &FleetOptions) -> Result<FleetReport, String> {
+pub fn run_fleet(opts: &FleetOptions, jobs: usize) -> Result<FleetReport, String> {
     let specs = plan_tenants(opts.tenants, opts.mix.as_deref())?;
     let platform = *PLATFORM_LABELS
         .iter()
@@ -638,11 +635,11 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetReport, String> {
     }
     let solo_runs = parallel_map_labeled(
         &uniq,
-        opts.jobs.max(1),
+        jobs,
         |_, s| format!("solo:{}/{platform}", s.short),
         |s| {
             let sys = system_by_label(platform).expect("platform label pre-validated");
-            run_workload_events(s, sys, &opts.run.to_run_options())
+            run_workload_events(s, sys, &opts.run)
         },
     );
     let mut events_by_short = Vec::with_capacity(uniq.len());
@@ -777,10 +774,10 @@ mod tests {
         let opts = FleetOptions {
             tenants: 1,
             mix: Some("BS".to_string()),
-            run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+            run: RunOptions { supersteps: Some(2), ..Default::default() },
             ..Default::default()
         };
-        let rep = run_fleet(&opts).unwrap();
+        let rep = run_fleet(&opts, 1).unwrap();
         assert_eq!(rep.tenants.len(), 1);
         let t = &rep.tenants[0];
         assert_eq!(t.label, "t0:BS");
@@ -791,16 +788,15 @@ mod tests {
 
     #[test]
     fn fleet_json_is_jobs_invariant() {
-        let mk = |jobs| FleetOptions {
+        let opts = FleetOptions {
             tenants: 4,
             mix: Some("BS:2,KM:2".to_string()),
             sched: SchedKind::FairShare,
-            jobs,
-            run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+            run: RunOptions { supersteps: Some(2), ..Default::default() },
             ..Default::default()
         };
-        let serial = run_fleet(&mk(1)).unwrap();
-        let par = run_fleet(&mk(4)).unwrap();
+        let serial = run_fleet(&opts, 1).unwrap();
+        let par = run_fleet(&opts, 4).unwrap();
         assert_eq!(serial.to_json().to_string(), par.to_json().to_string());
         let back = Json::parse(&serial.to_json().to_string()).expect("fleet JSON parses");
         assert_eq!(back.get("schema").and_then(Json::as_str), Some("charon-fleet-v1"));
@@ -822,10 +818,10 @@ mod tests {
         let opts = FleetOptions {
             tenants: 2,
             mix: Some("BS".to_string()),
-            run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+            run: RunOptions { supersteps: Some(2), ..Default::default() },
             ..Default::default()
         };
-        let rep = run_fleet(&opts).unwrap();
+        let rep = run_fleet(&opts, 1).unwrap();
         assert_eq!(rep.tenants[0].solo_pause, rep.tenants[1].solo_pause);
         assert_eq!(rep.tenants[0].events, rep.tenants[1].events);
         assert!(rep.max_inflation_bp() >= 10_000);

@@ -51,11 +51,11 @@ pub mod profile;
 pub mod run;
 pub mod spec;
 
-pub use autotune::{autotune, autotune_jobs, AutotuneReport};
+pub use autotune::{autotune, AutotuneReport};
 pub use chaos::{chaos_matrix, run_cell, run_chaos_campaign, ChaosOptions, ChaosReport, Site};
 pub use fleet::{plan_tenants, run_fleet, FleetOptions, FleetReport, SchedKind};
 pub use history::{HistoryRun, Ledger};
-pub use parmatrix::{full_matrix, run_matrix, selfspeed_json, MatrixJob, MatrixOptions, MatrixOutcome};
+pub use parmatrix::{full_matrix, run_matrix, selfspeed_json, MatrixJob, MatrixOutcome};
 pub use profile::RunProfile;
 pub use run::{run_workload, RunOptions, RunResult};
 pub use spec::{table3, Framework, WorkloadSpec};

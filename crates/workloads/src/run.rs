@@ -22,8 +22,12 @@ use charon_sim::telemetry::{Event, Telemetry};
 use charon_sim::time::Ps;
 use std::fmt;
 
-/// Options for one run.
-#[derive(Debug, Clone)]
+/// Options for one run — plain data (`Copy + Send + Sync`), so one value
+/// configures a single run, every cell of a matrix on any worker thread,
+/// and every driver built on them. The instrumentation sinks are built
+/// inside the run from the `telemetry`/`profile` switches and come back
+/// as fields of the [`RunResult`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOptions {
     /// Heap size as a factor over the workload's minimum (Fig. 2 sweeps
     /// 1.0 / 1.25 / 1.5 / 2.0; `None` uses the spec default).
@@ -32,20 +36,19 @@ pub struct RunOptions {
     pub gc_threads: usize,
     /// Override the superstep count (shorter runs for quick benches).
     pub supersteps: Option<usize>,
-    /// Telemetry sink for the run. [`Telemetry::disabled`] (the default)
-    /// records nothing and leaves timing bit-identical.
-    pub telemetry: Telemetry,
-    /// Latency profiler for the run. [`Profiler::disabled`] (the default)
-    /// records nothing and leaves timing bit-identical; enabled, the run
-    /// produces [`RunResult::profile`].
-    pub profiler: Profiler,
-    /// Run the per-GC heap-demographics census ([`charon_gc::census`]).
-    /// Purely functional — never changes simulated timing.
-    pub census: bool,
+    /// Journal the run's telemetry events into [`RunResult::events`].
+    /// Off (the default) records nothing; either way simulated timing is
+    /// bit-identical.
+    pub telemetry: bool,
+    /// Attach the latency profiler and the per-GC heap-demographics census
+    /// ([`charon_gc::census`]) and produce [`RunResult::profile`]. Both
+    /// only observe — simulated timing is bit-identical either way.
+    pub profile: bool,
     /// Attach an adaptive offload controller ([`charon_gc::adapt`]) that
     /// re-decides the [`charon_gc::system::OffloadMask`] at every GC
-    /// prologue. `None` (the default) keeps the platform mask fixed; the
-    /// census is auto-enabled when a policy needs it.
+    /// prologue. `None` (the default) keeps the platform mask fixed; a
+    /// policy implies the census, whose signals it reads, and so a
+    /// [`RunResult::profile`].
     pub policy: Option<PolicyKind>,
     /// Seed for stochastic policies ([`PolicyKind::Bandit`]); ignored by
     /// the deterministic ones.
@@ -73,9 +76,8 @@ impl Default for RunOptions {
             heap_factor: None,
             gc_threads: 8,
             supersteps: None,
-            telemetry: Telemetry::disabled(),
-            profiler: Profiler::disabled(),
-            census: false,
+            telemetry: false,
+            profile: false,
             policy: None,
             policy_seed: 0xC4A0,
             rearm: None,
@@ -84,6 +86,12 @@ impl Default for RunOptions {
         }
     }
 }
+
+// Every driver shares one options value across its worker threads.
+const _: fn() = || {
+    fn plain_data<T: Copy + Send + Sync>() {}
+    plain_data::<RunOptions>();
+};
 
 /// Everything one run produces.
 #[derive(Debug, Clone)]
@@ -119,12 +127,16 @@ pub struct RunResult {
     /// Bytes the mutator allocated.
     pub allocated_bytes: u64,
     /// Run profile (pause histograms, latency distributions, census,
-    /// unit utilization) — present when [`RunOptions::profiler`] was
-    /// enabled or [`RunOptions::census`] was set.
+    /// unit utilization) — present when [`RunOptions::profile`],
+    /// [`RunOptions::policy`] or [`RunOptions::postmortem`] was set.
     pub profile: Option<RunProfile>,
     /// The adaptive controller's decision journal — present when
     /// [`RunOptions::policy`] was set.
     pub decisions: Option<DecisionJournal>,
+    /// The telemetry journal, in record order — empty unless
+    /// [`RunOptions::telemetry`] was set. Not part of [`RunResult::to_json`];
+    /// `charon-cli run --trace-out` exports it as a Chrome trace.
+    pub events: Vec<Event>,
 }
 
 impl RunResult {
@@ -261,26 +273,26 @@ pub(crate) fn run_workload_full<E: From<OutOfMemory>>(
     let heap_bytes = spec.heap_bytes(opts.heap_factor.unwrap_or(spec.default_heap_factor));
     let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(heap_bytes));
     let mut mutator = Mutator::new(spec.clone(), &mut heap);
-    sys.set_telemetry(opts.telemetry.clone());
-    sys.set_profiler(opts.profiler.clone());
+    let telemetry = if opts.telemetry { Telemetry::enabled() } else { Telemetry::disabled() };
+    let profiler = if opts.profile { Profiler::enabled() } else { Profiler::disabled() };
+    sys.set_telemetry(telemetry.clone());
+    sys.set_profiler(profiler.clone());
     if let Some(n) = opts.rearm {
         sys.set_rearm(n);
     }
     let platform = sys.label();
     let mut gc = Collector::new(sys, &heap, opts.gc_threads);
     gc.kind = opts.collector;
-    if opts.census {
+    // The controller reads census signals, so a policy implies the
+    // (timing-invisible) census walk.
+    let census = opts.profile || opts.policy.is_some();
+    if census {
         gc.census = Some(charon_gc::census::Census::new());
     }
     if let Some(top_k) = opts.postmortem {
         gc.postmortem = Some(charon_gc::postmortem::Postmortem::new(top_k));
     }
     if let Some(kind) = opts.policy {
-        // The controller reads census signals, so attaching one implies
-        // the (timing-invisible) census walk.
-        if gc.census.is_none() {
-            gc.census = Some(charon_gc::census::Census::new());
-        }
         gc.adapt = Some(Controller::new(kind.build(gc.sys.offload, opts.policy_seed)));
     }
 
@@ -294,19 +306,18 @@ pub(crate) fn run_workload_full<E: From<OutOfMemory>>(
 
     // Drain per-link epoch occupancy into the journal (one counter sample
     // per non-empty metering epoch) — read-only, so timing is untouched.
-    if opts.telemetry.is_enabled() {
+    if opts.telemetry {
         for (link, fills) in gc.sys.host.fabric.link_epoch_fills() {
             for (at, used) in fills {
-                opts.telemetry
-                    .record(|| Event::BwSample { link: link.clone(), epoch_start: at, used });
+                telemetry.record(|| Event::BwSample { link: link.clone(), epoch_start: at, used });
             }
         }
     }
 
     let minor_t = gc.gc_time_by_kind(GcKind::Minor);
     let major_t = gc.gc_time_by_kind(GcKind::Major);
-    let profile = (opts.profiler.is_enabled() || opts.census || opts.postmortem.is_some())
-        .then(|| RunProfile::collect(spec.short, platform, &gc, opts.profiler.snapshot()));
+    let profile = (census || opts.postmortem.is_some())
+        .then(|| RunProfile::collect(spec.short, platform, &gc, profiler.snapshot()));
     Ok((
         RunResult {
             workload: spec.short,
@@ -326,6 +337,7 @@ pub(crate) fn run_workload_full<E: From<OutOfMemory>>(
             allocated_bytes: mutator.allocated_bytes,
             profile,
             decisions: gc.adapt.as_ref().map(|c| c.journal.clone()),
+            events: telemetry.events(),
         },
         gc,
     ))

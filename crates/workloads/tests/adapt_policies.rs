@@ -34,7 +34,7 @@ const STATIC_BASELINES: [(&str, &str, u64, usize, usize, u64); 3] = [
 fn static_policy_fingerprints_match_committed_baselines() {
     for &(wl, platform, gc_ps, minors, majors, alloc) in &STATIC_BASELINES {
         let spec = by_short(wl).unwrap();
-        let o = RunOptions { census: true, policy: Some(PolicyKind::Static), ..opts() };
+        let o = RunOptions { policy: Some(PolicyKind::Static), ..opts() };
         let r = run_workload(&spec, system_by_label(platform).unwrap(), &o).unwrap();
         assert_eq!(r.fingerprint(), (wl, platform, gc_ps, minors, majors, alloc));
         let journal = r.decisions.expect("controller attached");
@@ -45,7 +45,7 @@ fn static_policy_fingerprints_match_committed_baselines() {
 
 #[test]
 fn census_threshold_beats_static_on_phase_shift() {
-    let rep = autotune(&phase_shift(), System::charon, PolicyKind::Census, &RunOptions::default()).unwrap();
+    let rep = autotune(&phase_shift(), System::charon, PolicyKind::Census, &RunOptions::default(), 1).unwrap();
     assert!(
         rep.gc_time_delta_pct() <= -5.0,
         "census must cut PS gc_time by >= 5% over static, got {:+.1}%",

@@ -14,7 +14,7 @@
 use charon_gc::integrity::IntegrityConfig;
 use charon_gc::system::System;
 use charon_sim::faults::CorruptionRates;
-use charon_workloads::parmatrix::{system_by_label, MatrixOptions};
+use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::spec::by_short;
 use charon_workloads::{run_chaos_campaign, run_workload, ChaosOptions, RunOptions, Site};
 
@@ -87,7 +87,7 @@ fn campaign_opts() -> ChaosOptions {
     ChaosOptions {
         rates: Some(vec![0.05]),
         sites: Site::ALL.into_iter().filter(|s| matches!(s, Site::Corruption(_))).collect(),
-        run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+        run: RunOptions { supersteps: Some(2), ..Default::default() },
         ..Default::default()
     }
 }

@@ -60,10 +60,9 @@ fn telemetry_off_fingerprints_match_committed_baselines() {
 /// computed. Every committed baseline must hold with them switched on.
 #[test]
 fn profiler_and_census_on_fingerprints_match_committed_baselines() {
-    use charon_sim::profile::Profiler;
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let o = RunOptions { profiler: Profiler::enabled(), census: true, ..opts() };
+        let o = RunOptions { profile: true, ..opts() };
         let r = run_workload(&spec, system_by_label(platform).unwrap(), &o).unwrap();
         assert_eq!(
             r.fingerprint(),
@@ -85,10 +84,9 @@ fn profiler_and_census_on_fingerprints_match_committed_baselines() {
 #[test]
 fn postmortem_on_fingerprints_match_committed_baselines() {
     use charon_gc::collector::GcKind;
-    use charon_sim::profile::Profiler;
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let o = RunOptions { profiler: Profiler::enabled(), census: true, postmortem: Some(4), ..opts() };
+        let o = RunOptions { profile: true, postmortem: Some(4), ..opts() };
         let r = run_workload(&spec, system_by_label(platform).unwrap(), &o).unwrap();
         assert_eq!(
             r.fingerprint(),

@@ -7,21 +7,20 @@
 //! onto OS threads, for every scheduler policy and stagger seed.
 
 use charon_workloads::fleet::{run_fleet, FleetOptions, SchedKind};
-use charon_workloads::MatrixOptions;
+use charon_workloads::RunOptions;
 use proptest::prelude::*;
 
 /// Cheap mixes only — each distinct workload is one full (short) solo
 /// run per `run_fleet` call.
 const MIXES: [&str; 4] = ["BS", "KM", "BS:2,KM", "BS,KM:3"];
 
-fn opts(tenants: usize, mix: &str, sched: SchedKind, seed: u64, jobs: usize) -> FleetOptions {
+fn opts(tenants: usize, mix: &str, sched: SchedKind, seed: u64) -> FleetOptions {
     FleetOptions {
         tenants,
         mix: Some(mix.to_string()),
         sched,
         seed,
-        jobs,
-        run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+        run: RunOptions { supersteps: Some(2), ..Default::default() },
         ..Default::default()
     }
 }
@@ -40,9 +39,9 @@ proptest! {
         jobs in 2usize..=8,
     ) {
         let sched = SchedKind::ALL[sched_i];
-        let serial = run_fleet(&opts(tenants, MIXES[mix_i], sched, seed, 1))
+        let serial = run_fleet(&opts(tenants, MIXES[mix_i], sched, seed), 1)
             .expect("fleet run completes");
-        let par = run_fleet(&opts(tenants, MIXES[mix_i], sched, seed, jobs))
+        let par = run_fleet(&opts(tenants, MIXES[mix_i], sched, seed), jobs)
             .expect("fleet run completes");
         prop_assert_eq!(
             serial.to_json().to_string(),

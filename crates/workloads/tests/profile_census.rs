@@ -5,13 +5,12 @@
 use charon_gc::collector::GcKind;
 use charon_gc::system::System;
 use charon_sim::json::Json;
-use charon_sim::profile::Profiler;
 use charon_workloads::spec::by_short;
 use charon_workloads::{run_workload, RunOptions, RunResult};
 
 fn profiled(short: &str, sys: System) -> RunResult {
     let spec = by_short(short).unwrap();
-    let opts = RunOptions { supersteps: Some(2), profiler: Profiler::enabled(), census: true, ..Default::default() };
+    let opts = RunOptions { supersteps: Some(2), profile: true, ..Default::default() };
     run_workload(&spec, sys, &opts).unwrap()
 }
 

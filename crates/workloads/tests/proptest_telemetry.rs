@@ -12,7 +12,7 @@
 use charon_gc::system::System;
 use charon_sim::faults::{FaultRates, FaultSite, RecoveryConfig};
 use charon_sim::json::Json;
-use charon_sim::telemetry::{chrome_trace, Event, Telemetry};
+use charon_sim::telemetry::{chrome_trace, Event};
 use charon_workloads::spec::{by_short, table3};
 use charon_workloads::{run_cell, run_workload, RunOptions};
 use proptest::prelude::*;
@@ -43,17 +43,12 @@ proptest! {
         let (label, make) = PLATFORMS[platform];
         let off = run_workload(&spec, make(), &RunOptions { supersteps: Some(steps), ..Default::default() })
             .unwrap();
-        let telemetry = Telemetry::enabled();
-        let on = run_workload(
-            &spec,
-            make(),
-            &RunOptions { supersteps: Some(steps), telemetry: telemetry.clone(), ..Default::default() },
-        )
-        .unwrap();
+        let on = run_workload(&spec, make(), &RunOptions { supersteps: Some(steps), telemetry: true, ..Default::default() })
+            .unwrap();
         prop_assert_eq!(off.fingerprint(), on.fingerprint(),
             "telemetry changed the simulation on {} x {}", SHORTS[which], label);
         if on.minor.1 + on.major.1 > 0 {
-            prop_assert!(!telemetry.is_empty(), "an enabled journal must record the collections");
+            prop_assert!(!on.events.is_empty(), "an enabled journal must record the collections");
         }
     }
 
@@ -69,8 +64,7 @@ proptest! {
             sys
         };
         let off = run_cell(&spec, faulty(), &RunOptions { supersteps: Some(2), ..Default::default() }).unwrap();
-        let telemetry = Telemetry::enabled();
-        let on_opts = RunOptions { supersteps: Some(2), telemetry: telemetry.clone(), ..Default::default() };
+        let on_opts = RunOptions { supersteps: Some(2), telemetry: true, ..Default::default() };
         let on = run_cell(&spec, faulty(), &on_opts).unwrap();
         prop_assert_eq!(off.result.fingerprint(), on.result.fingerprint(), "telemetry changed timing under seed {}", seed);
         prop_assert_eq!(&off.signatures, &on.signatures);
@@ -78,7 +72,7 @@ proptest! {
         prop_assert_eq!(off.recovery, on.recovery);
         prop_assert_eq!(off.faults, on.faults);
         if off.recovery.total_retries() > 0 {
-            let events = telemetry.events();
+            let events = &on.result.events;
             prop_assert!(events.iter().any(|e| matches!(e, Event::Fault { .. })),
                 "retries happened but no Fault event was journaled");
             prop_assert!(events.iter().any(|e| matches!(e, Event::Recovery { .. })),
@@ -96,13 +90,8 @@ proptest! {
 fn assert_emitted_json_is_valid(short: &str) {
     let spec = table3().into_iter().find(|s| s.short == short).expect("known workload");
     for (label, make) in PLATFORMS {
-        let telemetry = Telemetry::enabled();
-        let r = run_workload(
-            &spec,
-            make(),
-            &RunOptions { supersteps: Some(1), telemetry: telemetry.clone(), ..Default::default() },
-        )
-        .unwrap_or_else(|e| panic!("{short} on {label}: {e}"));
+        let r = run_workload(&spec, make(), &RunOptions { supersteps: Some(1), telemetry: true, ..Default::default() })
+            .unwrap_or_else(|e| panic!("{short} on {label}: {e}"));
         let report = r.to_json().to_string();
         let parsed = Json::parse(&report).unwrap_or_else(|e| panic!("{short} on {label}: {e}"));
         assert!(parsed.get("gc_time_ps").and_then(Json::as_u64).is_some());
@@ -110,7 +99,7 @@ fn assert_emitted_json_is_valid(short: &str) {
         assert!(parsed.get("minor_breakdown").and_then(|b| b.get("recovery")).is_some());
         assert!(parsed.get("energy").and_then(|e| e.get("total_j")).is_some());
 
-        let trace = chrome_trace(&telemetry.events()).to_string();
+        let trace = chrome_trace(&r.events).to_string();
         let parsed = Json::parse(&trace).unwrap_or_else(|e| panic!("{short} on {label} trace: {e}"));
         let arr = parsed.as_arr().expect("chrome trace is a JSON array");
         assert!(!arr.is_empty(), "{short} on {label}: empty trace");

@@ -22,6 +22,11 @@
 //! charon-cli autotune PS --policy census  # adaptive vs static offload mask
 //! ```
 //!
+//! Every verb that runs a workload takes the run-flag group
+//! ([`RUN_FLAGS`]: `--collector`, `--heap-factor`, `--threads`,
+//! `--steps`, `--rearm`) plus its own extras ([`VERB_EXTRAS`]), and
+//! builds one [`RunOptions`] from them.
+//!
 //! Every subcommand that takes `--json` prints exactly one JSON document
 //! on stdout; status notes such as `wrote FILE` go to stderr then.
 
@@ -30,48 +35,46 @@ use charon::gc::breakdown::Bucket;
 use charon::gc::collector::CollectorKind;
 use charon::gc::system::OffloadMask;
 use charon::sim::json::Json;
-use charon::sim::profile::Profiler;
-use charon::sim::telemetry::{chrome_trace, Telemetry};
+use charon::sim::telemetry::chrome_trace;
 use charon::workloads::history::BisectHit;
 use charon::workloads::parmatrix::{system_by_label, PLATFORM_LABELS as PLATFORMS};
 use charon::workloads::spec::{by_short, table3, WorkloadSpec};
 use charon::workloads::{
-    autotune_jobs, full_matrix, plan_tenants, run_chaos_campaign, run_fleet, run_matrix, run_workload, selfspeed_json,
-    ChaosOptions, FleetOptions, Ledger, MatrixOptions, RunOptions, RunResult, SchedKind, Site,
+    autotune, full_matrix, plan_tenants, run_chaos_campaign, run_fleet, run_matrix, run_workload, selfspeed_json,
+    ChaosOptions, FleetOptions, Ledger, RunOptions, RunResult, SchedKind, Site,
 };
 use std::fmt::{Display, Write as _};
 use std::process::ExitCode;
 
+/// The run-flag group as `usage` prints it, one entry per [`RUN_FLAGS`] flag.
+const RUN_USAGE: &str = "[--collector <ps|ms|cms|g1>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--rearm <N>]";
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  charon-cli list\n  charon-cli config\n  charon-cli area\n  \
-         charon-cli run <BS|KM|LR|CC|PR|ALS> [--platform <P>] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] \
-         [--threads <N>] [--steps <N>] [--mask <M>] [--rearm <N>] [--json] [--trace-out <FILE>]\n  \
-         charon-cli compare <BS|KM|LR|CC|PR|ALS> [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json]\n  \
-         charon-cli bench [<W>...] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] [--threads <N>] [--steps <N>] \
-         [--out <FILE>] [--jobs <N>]\n    \
+         charon-cli run <BS|KM|LR|CC|PR|ALS> [--platform <P>] {RUN_USAGE} [--mask <M>] [--json] [--trace-out <FILE>]\n  \
+         charon-cli compare <BS|KM|LR|CC|PR|ALS> {RUN_USAGE} [--json]\n  \
+         charon-cli bench [<W>...] {RUN_USAGE} [--out <FILE>] [--jobs <N>]\n    \
          (also writes BENCH_selfspeed.json — simulated ps per wall-second, per cell)\n  \
          charon-cli check-json <FILE>\n  \
-         charon-cli chaos [<W>...] [--sites <S,S,...>] [--rates <R,R,...>] [--oracle] [--rearm <N>] [--seed <S>] \
-         [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]\n    \
+         charon-cli chaos [<W>...] {RUN_USAGE} [--sites <S,S,...>] [--rates <R,R,...>] [--oracle] [--seed <S>] \
+         [--json] [--out <FILE>] [--jobs <N>]\n    \
          (sites: link,queue,tlb,mai,unit = pipeline faults, bitmap,forward,card,payload = silent corruption; \
          default all nine. Default rates: 0.2 per pipeline site plus 0.95 on unit, 0.02 and 0.1 per corruption \
          site; --rates replaces them at every selected site)\n  \
-         charon-cli profile <BS|KM|LR|CC|PR|ALS> [--platform <P>] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] \
-         [--threads <N>] [--steps <N>] [--top <K>] [--json] [--profile-out <FILE>]\n  \
-         charon-cli explain <BS|KM|LR|CC|PR|ALS> [--platform <P>] [--top <K>] [--heap-factor <F>] [--threads <N>] \
-         [--steps <N>] [--json]\n    \
+         charon-cli profile <BS|KM|LR|CC|PR|ALS> [--platform <P>] {RUN_USAGE} [--top <K>] [--json] [--profile-out <FILE>]\n  \
+         charon-cli explain <BS|KM|LR|CC|PR|ALS> [--platform <P>] {RUN_USAGE} [--top <K>] [--json]\n    \
          (tail-pause attribution: top-K worst pauses with breakdown, unit, and energy context)\n  \
-         charon-cli fleet [--tenants <N>] [--mix <W:N,W:N,...>] [--sched <fifo|fair|deadline>] [--platform <P>] \
-         [--seed <S>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]\n  \
+         charon-cli fleet [--platform <P>] {RUN_USAGE} [--tenants <N>] [--mix <W:N,W:N,...>] [--sched <fifo|fair|deadline>] \
+         [--seed <S>] [--json] [--out <FILE>] [--jobs <N>]\n  \
          charon-cli regress <OLD.json> <NEW.json> [--tolerance <PCT>] [--metric <SUBSTR>]\n    \
          (exit 2 = regression beyond tolerance, 1 = usage/IO error)\n  \
          charon-cli trend record <LEDGER.json> <REPORT.json> [--label <L>]\n  \
          charon-cli trend report <LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json] [--out <FILE>]\n  \
          charon-cli trend bisect <LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json]\n    \
          (exit 2 = regression found; prints the first regressing run per metric)\n  \
-         charon-cli autotune <BS|KM|LR|CC|PR|ALS|PS> [--platform <P>] [--policy <static|census|bandit>] [--seed <S>] \
-         [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]\n\
+         charon-cli autotune <BS|KM|LR|CC|PR|ALS|PS> [--platform <P>] {RUN_USAGE} [--policy <static|census|bandit>] [--seed <S>] \
+         [--json] [--out <FILE>] [--jobs <N>]\n\
          platforms: {}",
         PLATFORMS.join(", ")
     );
@@ -105,6 +108,24 @@ const FLAG_TABLE: [(&str, bool); 24] = [
     ("--top", true),
     ("--metric", true),
     ("--label", true),
+];
+
+/// The run-flag group: every verb that runs a workload accepts these, and
+/// [`Flags::run_options`] turns them into the verb's one [`RunOptions`].
+const RUN_FLAGS: [&str; 5] = ["--collector", "--heap-factor", "--threads", "--steps", "--rearm"];
+
+/// Each workload-running verb's flags beyond [`RUN_FLAGS`]. `--platform`
+/// belongs to the verbs that build one system; `compare`, `bench` and
+/// `chaos` pick their platforms themselves.
+const VERB_EXTRAS: [(&str, &[&str]); 8] = [
+    ("run", &["--platform", "--mask", "--json", "--trace-out"]),
+    ("compare", &["--json"]),
+    ("bench", &["--out", "--jobs"]),
+    ("chaos", &["--sites", "--rates", "--oracle", "--seed", "--json", "--out", "--jobs"]),
+    ("profile", &["--platform", "--top", "--json", "--profile-out"]),
+    ("explain", &["--platform", "--top", "--json"]),
+    ("fleet", &["--platform", "--tenants", "--mix", "--sched", "--seed", "--json", "--out", "--jobs"]),
+    ("autotune", &["--platform", "--policy", "--seed", "--json", "--out", "--jobs"]),
 ];
 
 /// Parsed flag values, superset over all subcommands.
@@ -175,9 +196,9 @@ fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<Flags, String> {
             "--collector" => flags.collector = Some(val.parse::<CollectorKind>()?),
             "--heap-factor" => {
                 let f: f64 = val.parse().map_err(|_| format!("bad factor {val}"))?;
-                if f < 1.0 {
+                if !(1.0..=64.0).contains(&f) {
                     return Err(format!(
-                        "--heap-factor {f} is below 1.0 — factors are relative to the minimum OOM-free heap"
+                        "--heap-factor {f} out of range (1.0..=64.0) — factors are relative to the minimum OOM-free heap"
                     ));
                 }
                 flags.heap_factor = Some(f);
@@ -266,6 +287,18 @@ fn cli_flags(rest: &[String], allowed: &[&str]) -> Option<Flags> {
     parse_flags(rest, allowed).map_err(|e| eprintln!("{e}")).ok()
 }
 
+/// The flags a workload-running `verb` accepts: [`RUN_FLAGS`] plus its
+/// [`VERB_EXTRAS`] entry.
+fn verb_allowed(verb: &str) -> Vec<&'static str> {
+    let extras = VERB_EXTRAS.iter().find(|(v, _)| *v == verb).map_or(&[][..], |&(_, e)| e);
+    RUN_FLAGS.iter().chain(extras).copied().collect()
+}
+
+/// [`cli_flags`] for a workload-running verb.
+fn verb_flags(verb: &str, rest: &[String]) -> Option<Flags> {
+    cli_flags(rest, &verb_allowed(verb))
+}
+
 /// Resolves a workload argument, reporting an unknown code.
 fn workload_arg(arg: Option<&String>) -> Option<WorkloadSpec> {
     let short = arg?;
@@ -298,16 +331,17 @@ impl Flags {
         self.jobs.unwrap_or(1)
     }
 
-    fn matrix_options(&self) -> MatrixOptions {
-        MatrixOptions::from_run_options(&self.run_options(Telemetry::disabled()))
+    /// The platform label for single-platform verbs (default Charon).
+    fn platform(&self) -> &str {
+        self.platform.as_deref().unwrap_or("Charon")
     }
 
-    fn run_options(&self, telemetry: Telemetry) -> RunOptions {
+    /// The verb's one [`RunOptions`], from the run-flag group.
+    fn run_options(&self) -> RunOptions {
         RunOptions {
             heap_factor: self.heap_factor,
             gc_threads: self.threads.unwrap_or(8),
             supersteps: self.steps,
-            telemetry,
             rearm: self.rearm,
             collector: self.collector.unwrap_or_default(),
             ..Default::default()
@@ -321,20 +355,19 @@ impl Flags {
             rates: self.rates.clone(),
             sites: self.sites.clone().unwrap_or(defaults.sites),
             oracle: self.oracle,
-            run: self.matrix_options(),
+            run: self.run_options(),
         }
     }
 
     fn fleet_options(&self) -> FleetOptions {
         let defaults = FleetOptions::default();
         FleetOptions {
-            platform: self.platform.clone().unwrap_or_else(|| "Charon".into()),
+            platform: self.platform().to_string(),
             tenants: self.tenants.unwrap_or(0),
             mix: self.mix.clone(),
             sched: self.sched.unwrap_or(SchedKind::Fifo),
             seed: self.seed.unwrap_or(defaults.seed),
-            jobs: self.jobs(),
-            run: self.matrix_options(),
+            run: self.run_options(),
         }
     }
 }
@@ -484,20 +517,9 @@ fn main() -> ExitCode {
         }
         Some("run") => {
             let Some(spec) = workload_arg(args.get(1)) else { return usage() };
-            let allowed = [
-                "--platform",
-                "--collector",
-                "--heap-factor",
-                "--threads",
-                "--steps",
-                "--mask",
-                "--rearm",
-                "--json",
-                "--trace-out",
-            ];
-            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
-            let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
-            let Some(mut sys) = system_by_label(&platform) else {
+            let Some(flags) = verb_flags("run", &args[2..]) else { return usage() };
+            let platform = flags.platform();
+            let Some(mut sys) = system_by_label(platform) else {
                 eprintln!("unknown platform {platform}");
                 return usage();
             };
@@ -511,11 +533,11 @@ fn main() -> ExitCode {
                 }
                 sys.offload = mask;
             }
-            let telemetry = if flags.trace_out.is_some() { Telemetry::enabled() } else { Telemetry::disabled() };
-            match run_workload(&spec, sys, &flags.run_options(telemetry.clone())) {
+            let opts = RunOptions { telemetry: flags.trace_out.is_some(), ..flags.run_options() };
+            match run_workload(&spec, sys, &opts) {
                 Ok(r) => {
                     if let Some(path) = &flags.trace_out {
-                        if let Err(code) = write_file(path, &chrome_trace(&telemetry.events()).to_string()) {
+                        if let Err(code) = write_file(path, &chrome_trace(&r.events).to_string()) {
                             return code;
                         }
                     }
@@ -529,9 +551,8 @@ fn main() -> ExitCode {
         }
         Some("compare") => {
             let Some(spec) = workload_arg(args.get(1)) else { return usage() };
-            let allowed = ["--heap-factor", "--threads", "--steps", "--json"];
-            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
-            let runs = match compare_runs(&spec, &flags.run_options(Telemetry::disabled())) {
+            let Some(flags) = verb_flags("compare", &args[2..]) else { return usage() };
+            let runs = match compare_runs(&spec, &flags.run_options()) {
                 Ok(rs) => rs,
                 Err(e) => {
                     eprintln!("{e}");
@@ -560,14 +581,13 @@ fn main() -> ExitCode {
                     return usage();
                 }
             };
-            let allowed = ["--collector", "--heap-factor", "--threads", "--steps", "--out", "--jobs"];
-            let Some(flags) = cli_flags(rest, &allowed) else { return usage() };
+            let Some(flags) = verb_flags("bench", rest) else { return usage() };
             // The whole workload × platform matrix runs through the
             // parallel runner; at --jobs 1 (the default) parallel_map
             // degenerates to the old serial loop. Cell order — and with
             // it BENCH_compare.json — is identical at every job count.
             let cells = full_matrix(&specs);
-            let outcomes = run_matrix(&cells, &flags.matrix_options(), flags.jobs());
+            let outcomes = run_matrix(&cells, &flags.run_options(), flags.jobs());
             let mut benches = Vec::new();
             for (spec, per_workload) in specs.iter().zip(outcomes.chunks(PLATFORMS.len())) {
                 let mut runs = Vec::new();
@@ -617,20 +637,7 @@ fn main() -> ExitCode {
                     return usage();
                 }
             };
-            let allowed = [
-                "--sites",
-                "--rates",
-                "--oracle",
-                "--rearm",
-                "--seed",
-                "--heap-factor",
-                "--threads",
-                "--steps",
-                "--json",
-                "--out",
-                "--jobs",
-            ];
-            let Some(flags) = cli_flags(rest, &allowed) else { return usage() };
+            let Some(flags) = verb_flags("chaos", rest) else { return usage() };
             let report = match run_chaos_campaign(&specs, &flags.chaos_options(), flags.jobs()) {
                 Ok(r) => r,
                 Err(e) => {
@@ -647,20 +654,7 @@ fn main() -> ExitCode {
             }
         }
         Some("fleet") => {
-            let allowed = [
-                "--tenants",
-                "--mix",
-                "--sched",
-                "--platform",
-                "--seed",
-                "--heap-factor",
-                "--threads",
-                "--steps",
-                "--json",
-                "--out",
-                "--jobs",
-            ];
-            let Some(flags) = cli_flags(&args[1..], &allowed) else { return usage() };
+            let Some(flags) = verb_flags("fleet", &args[1..]) else { return usage() };
             let opts = flags.fleet_options();
             // A one-tenant fleet has nothing to schedule: it IS a plain
             // run, and prints byte-identically to `charon-cli run` so
@@ -677,7 +671,7 @@ fn main() -> ExitCode {
                     eprintln!("unknown platform {}", opts.platform);
                     return usage();
                 };
-                return match run_workload(&spec, sys, &flags.run_options(Telemetry::disabled())) {
+                return match run_workload(&spec, sys, &opts.run) {
                     Ok(r) => emit(&flags, flags.out.as_deref(), &r.to_json(), &run_text(&r)),
                     Err(e) => {
                         eprintln!("{e}");
@@ -685,7 +679,7 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            match run_fleet(&opts) {
+            match run_fleet(&opts, flags.jobs()) {
                 Ok(rep) => emit(&flags, flags.out.as_deref(), &rep.to_json(), &rep),
                 Err(e) => {
                     eprintln!("{e}");
@@ -695,28 +689,13 @@ fn main() -> ExitCode {
         }
         Some("profile") => {
             let Some(spec) = workload_arg(args.get(1)) else { return usage() };
-            let allowed = [
-                "--platform",
-                "--collector",
-                "--heap-factor",
-                "--threads",
-                "--steps",
-                "--top",
-                "--json",
-                "--profile-out",
-            ];
-            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
-            let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
-            let Some(sys) = system_by_label(&platform) else {
+            let Some(flags) = verb_flags("profile", &args[2..]) else { return usage() };
+            let platform = flags.platform();
+            let Some(sys) = system_by_label(platform) else {
                 eprintln!("unknown platform {platform}");
                 return usage();
             };
-            let opts = RunOptions {
-                profiler: Profiler::enabled(),
-                census: true,
-                postmortem: Some(flags.top.unwrap_or(3)),
-                ..flags.run_options(Telemetry::disabled())
-            };
+            let opts = RunOptions { profile: true, postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options() };
             match run_workload(&spec, sys, &opts) {
                 Ok(r) => {
                     let profile = r.profile.as_ref().expect("profiler was enabled");
@@ -730,15 +709,13 @@ fn main() -> ExitCode {
         }
         Some("explain") => {
             let Some(spec) = workload_arg(args.get(1)) else { return usage() };
-            let allowed = ["--platform", "--top", "--heap-factor", "--threads", "--steps", "--json"];
-            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
-            let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
-            let Some(sys) = system_by_label(&platform) else {
+            let Some(flags) = verb_flags("explain", &args[2..]) else { return usage() };
+            let platform = flags.platform();
+            let Some(sys) = system_by_label(platform) else {
                 eprintln!("unknown platform {platform}");
                 return usage();
             };
-            let opts =
-                RunOptions { postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options(Telemetry::disabled()) };
+            let opts = RunOptions { postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options() };
             match run_workload(&spec, sys, &opts) {
                 Ok(r) => {
                     let profile = r.profile.as_ref().expect("postmortem forces profile collection");
@@ -754,30 +731,19 @@ fn main() -> ExitCode {
         }
         Some("autotune") => {
             let Some(spec) = workload_arg(args.get(1)) else { return usage() };
-            let allowed = [
-                "--platform",
-                "--policy",
-                "--seed",
-                "--heap-factor",
-                "--threads",
-                "--steps",
-                "--json",
-                "--out",
-                "--jobs",
-            ];
-            let Some(flags) = cli_flags(&args[2..], &allowed) else { return usage() };
-            let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
-            if system_by_label(&platform).is_none() {
+            let Some(flags) = verb_flags("autotune", &args[2..]) else { return usage() };
+            let platform = flags.platform();
+            if system_by_label(platform).is_none() {
                 eprintln!("unknown platform {platform}");
                 return usage();
             }
             let policy = flags.policy.unwrap_or(PolicyKind::Census);
-            let mut opts = flags.matrix_options();
+            let mut opts = flags.run_options();
             if let Some(seed) = flags.seed {
                 opts.policy_seed = seed;
             }
-            let make = || system_by_label(&platform).expect("validated above");
-            match autotune_jobs(&spec, make, policy, &opts, flags.jobs()) {
+            let make = || system_by_label(platform).expect("validated above");
+            match autotune(&spec, make, policy, &opts, flags.jobs()) {
                 Ok(rep) => emit(&flags, flags.out.as_deref(), &rep.to_json(), &rep),
                 Err(e) => {
                     eprintln!("{e}");
@@ -940,8 +906,11 @@ mod tests {
         s.iter().map(|a| a.to_string()).collect()
     }
 
-    const RUN_FLAGS: [&str; 7] =
-        ["--platform", "--collector", "--heap-factor", "--threads", "--steps", "--json", "--trace-out"];
+    /// `run`'s allowlist: the run-flag group plus `--platform`, `--mask`,
+    /// `--json` and `--trace-out`.
+    fn run_allowed() -> Vec<&'static str> {
+        verb_allowed("run")
+    }
 
     #[test]
     fn parses_every_run_flag() {
@@ -961,7 +930,7 @@ mod tests {
                 "--trace-out",
                 "t.json",
             ]),
-            &RUN_FLAGS,
+            &run_allowed(),
         )
         .unwrap();
         assert_eq!(f.platform.as_deref(), Some("Charon"));
@@ -981,21 +950,50 @@ mod tests {
             ("cms", CollectorKind::Cms),
             ("g1", CollectorKind::G1),
         ] {
-            let f = parse_flags(&argv(&["--collector", name]), &RUN_FLAGS).unwrap();
+            let f = parse_flags(&argv(&["--collector", name]), &run_allowed()).unwrap();
             assert_eq!(f.collector, Some(kind), "{name}");
         }
-        let e = parse_flags(&argv(&["--collector", "zgc"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--collector", "zgc"]), &run_allowed()).unwrap_err();
         assert!(e.contains("unknown collector 'zgc'"), "{e}");
         assert!(e.contains("ps, ms, cms, or g1"), "{e}");
     }
 
     #[test]
     fn collector_defaults_to_ps_in_run_options() {
-        let f = parse_flags(&argv(&[]), &RUN_FLAGS).unwrap();
-        assert_eq!(f.run_options(Telemetry::disabled()).collector, CollectorKind::Ps);
-        let f = parse_flags(&argv(&["--collector", "g1"]), &RUN_FLAGS).unwrap();
-        assert_eq!(f.run_options(Telemetry::disabled()).collector, CollectorKind::G1);
-        assert_eq!(f.matrix_options().collector, CollectorKind::G1, "bench inherits via MatrixOptions");
+        let f = parse_flags(&argv(&[]), &run_allowed()).unwrap();
+        assert_eq!(f.run_options().collector, CollectorKind::Ps);
+        let f = parse_flags(&argv(&["--collector", "g1"]), &run_allowed()).unwrap();
+        assert_eq!(f.run_options().collector, CollectorKind::G1);
+    }
+
+    #[test]
+    fn every_workload_verb_accepts_the_run_flag_group() {
+        let values =
+            [("--collector", "cms"), ("--heap-factor", "1.5"), ("--threads", "4"), ("--steps", "2"), ("--rearm", "3")];
+        assert_eq!(values.map(|(f, _)| f), RUN_FLAGS);
+        let all: Vec<&str> = values.iter().flat_map(|&(f, v)| [f, v]).collect();
+        for (verb, extras) in VERB_EXTRAS {
+            let allowed = verb_allowed(verb);
+            for (flag, value) in values {
+                parse_flags(&argv(&[flag, value]), &allowed).unwrap_or_else(|e| panic!("{verb} {flag}: {e}"));
+            }
+            let f = parse_flags(&argv(&all), &allowed).unwrap();
+            let o = f.run_options();
+            assert_eq!((o.collector, o.heap_factor, o.gc_threads), (CollectorKind::Cms, Some(1.5), 4), "{verb}");
+            assert_eq!((o.supersteps, o.rearm), (Some(2), Some(3)), "{verb}");
+            for &(flag, takes_value) in &FLAG_TABLE {
+                if allowed.contains(&flag) {
+                    continue;
+                }
+                assert!(!extras.contains(&flag));
+                let args = if takes_value { argv(&[flag, "1"]) } else { argv(&[flag]) };
+                let e = parse_flags(&args, &allowed).unwrap_err();
+                assert!(e.contains("not valid for this subcommand"), "{verb} {flag}: {e}");
+            }
+            for extra in extras {
+                assert!(!RUN_FLAGS.contains(extra), "{verb} repeats the run-flag group's {extra}");
+            }
+        }
     }
 
     #[test]
@@ -1016,41 +1014,53 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_flags() {
-        let e = parse_flags(&argv(&["--threads", "4", "--threads", "8"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--threads", "4", "--threads", "8"]), &run_allowed()).unwrap_err();
         assert!(e.contains("duplicate flag --threads"), "{e}");
-        let e = parse_flags(&argv(&["--json", "--json"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--json", "--json"]), &run_allowed()).unwrap_err();
         assert!(e.contains("duplicate flag --json"), "{e}");
     }
 
     #[test]
     fn rejects_flags_outside_the_subcommand_allowlist() {
         // `compare` takes no --platform; `run` takes no --seed.
-        let e = parse_flags(&argv(&["--platform", "Charon"]), &["--heap-factor", "--json"]).unwrap_err();
+        let e = parse_flags(&argv(&["--platform", "Charon"]), &verb_allowed("compare")).unwrap_err();
         assert!(e.contains("not valid for this subcommand"), "{e}");
-        let e = parse_flags(&argv(&["--seed", "7"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--seed", "7"]), &run_allowed()).unwrap_err();
         assert!(e.contains("not valid for this subcommand"), "{e}");
     }
 
     #[test]
     fn rejects_unknown_flags_and_missing_values() {
-        let e = parse_flags(&argv(&["--bogus"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--bogus"]), &run_allowed()).unwrap_err();
         assert!(e.contains("unknown flag --bogus"), "{e}");
-        let e = parse_flags(&argv(&["--threads"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--threads"]), &run_allowed()).unwrap_err();
         assert!(e.contains("--threads needs a value"), "{e}");
     }
 
     #[test]
     fn validates_flag_values() {
-        assert!(parse_flags(&argv(&["--heap-factor", "0.5"]), &RUN_FLAGS).is_err());
-        assert!(parse_flags(&argv(&["--threads", "0"]), &RUN_FLAGS).is_err());
-        assert!(parse_flags(&argv(&["--threads", "65"]), &RUN_FLAGS).is_err());
-        assert!(parse_flags(&argv(&["--steps", "abc"]), &RUN_FLAGS).is_err());
+        assert!(parse_flags(&argv(&["--heap-factor", "0.5"]), &run_allowed()).is_err());
+        // NaN and infinity pass a bare `< 1.0` check; a huge factor aborts
+        // on allocation. All three are typed range errors.
+        for bad in ["nan", "inf", "1e6"] {
+            let e = parse_flags(&argv(&["--heap-factor", bad]), &run_allowed()).unwrap_err();
+            assert!(e.contains("out of range (1.0..=64.0)"), "{bad}: {e}");
+        }
+        assert_eq!(
+            parse_flags(&argv(&["--heap-factor", "64"]), &run_allowed())
+                .unwrap()
+                .heap_factor,
+            Some(64.0)
+        );
+        assert!(parse_flags(&argv(&["--threads", "0"]), &run_allowed()).is_err());
+        assert!(parse_flags(&argv(&["--threads", "65"]), &run_allowed()).is_err());
+        assert!(parse_flags(&argv(&["--steps", "abc"]), &run_allowed()).is_err());
     }
 
     #[test]
     fn boolean_flags_take_no_value() {
         // `--json 5` parses --json alone; "5" is then an unknown token.
-        let e = parse_flags(&argv(&["--json", "5"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--json", "5"]), &run_allowed()).unwrap_err();
         assert!(e.contains("unknown flag 5"), "{e}");
     }
 
